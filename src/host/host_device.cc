@@ -22,22 +22,23 @@ HostPathDevice::HostPathDevice(EventQueue* eq, const HostPathConfig& cfg,
   batch_.reserve(static_cast<size_t>(cfg.doorbell_batch));
 }
 
-HostPathDevice::QpCtx& HostPathDevice::Ctx(int ctx_id) {
+int HostPathDevice::LocalIndex(int ctx_id) const {
   DCQCN_CHECK(ctx_id >= 0);
-  DCQCN_CHECK(static_cast<size_t>(ctx_id) < qps_.size());
-  QpCtx& q = qps_[static_cast<size_t>(ctx_id)];
-  DCQCN_CHECK(q.exists);  // Post/OnWireComplete before CreateQp
-  return q;
+  DCQCN_CHECK(static_cast<size_t>(ctx_id) < local_.size());
+  const int32_t qp = local_[static_cast<size_t>(ctx_id)];
+  DCQCN_CHECK(qp >= 0);  // Post/OnWireComplete before CreateQp
+  return qp;
 }
 
 void HostPathDevice::CreateQp(int ctx_id) {
   DCQCN_CHECK(ctx_id >= 0);
-  if (static_cast<size_t>(ctx_id) >= qps_.size()) {
-    qps_.resize(static_cast<size_t>(ctx_id) + 1);
+  if (static_cast<size_t>(ctx_id) >= local_.size()) {
+    local_.resize(static_cast<size_t>(ctx_id) + 1, -1);
   }
-  QpCtx& q = qps_[static_cast<size_t>(ctx_id)];
-  DCQCN_CHECK(!q.exists);  // duplicate CreateQp
-  q.exists = true;
+  int32_t& qp = local_[static_cast<size_t>(ctx_id)];
+  DCQCN_CHECK(qp < 0);  // duplicate CreateQp
+  qp = static_cast<int32_t>(qps_.size());
+  qps_.emplace_back();
 }
 
 void HostPathDevice::Post(int ctx_id, Verb verb, Bytes bytes,
@@ -47,7 +48,7 @@ void HostPathDevice::Post(int ctx_id, Verb verb, Bytes bytes,
   ++stats_.wr_posted;
   ++stats_.posted_by_verb[static_cast<int>(verb)];
   Wr wr;
-  wr.ctx_id = ctx_id;
+  wr.qp = LocalIndex(ctx_id);
   wr.verb = verb;
   wr.bytes = bytes;
   wr.posted = eq_->Now();
@@ -56,7 +57,7 @@ void HostPathDevice::Post(int ctx_id, Verb verb, Bytes bytes,
 }
 
 void HostPathDevice::Admit(Wr wr) {
-  QpCtx& q = Ctx(wr.ctx_id);
+  QpCtx& q = qps_[static_cast<size_t>(wr.qp)];
   if (q.sq_used >= cfg_.sq_depth) {
     // SQ full: the app blocks; the WR is admitted when a completion (or a
     // retired launch) frees a slot.
@@ -102,12 +103,12 @@ void HostPathDevice::RingDoorbell() {
     // QP then MR context lookups. A miss is an ICM fetch: serialized on the
     // device's single context-fetch engine, charged to PCIe, plus the fixed
     // miss penalty. This serialization is the cache-thrash cliff.
-    if (!qp_cache_.Touch(wr.ctx_id)) {
+    if (!qp_cache_.Touch(wr.qp)) {
       t = std::max(t, ctx_engine_ready_);
       t = pcie_.Acquire(cfg_.ctx_fetch_bytes, t) + cfg_.qp_miss_penalty;
       ctx_engine_ready_ = t;
     }
-    if (!mr_cache_.Touch(wr.ctx_id)) {
+    if (!mr_cache_.Touch(wr.qp)) {
       t = std::max(t, ctx_engine_ready_);
       t = pcie_.Acquire(cfg_.ctx_fetch_bytes, t) + cfg_.mr_miss_penalty;
       ctx_engine_ready_ = t;
@@ -118,7 +119,7 @@ void HostPathDevice::RingDoorbell() {
       t = pcie_.Acquire(wr.bytes, t);
     }
     // Launches on one QP are FIFO in post order.
-    QpCtx& q = Ctx(wr.ctx_id);
+    QpCtx& q = qps_[static_cast<size_t>(wr.qp)];
     t = std::max(t, q.last_launch);
     q.last_launch = t;
     LaunchAt(t, std::move(wr));
@@ -130,8 +131,10 @@ void HostPathDevice::LaunchAt(Time at, Wr wr) {
   const Time now = eq_->Now();
   DCQCN_CHECK(at >= now);
   eq_->ScheduleIn(at - now, [this, wr = std::move(wr)]() mutable {
-    QpCtx& q = Ctx(wr.ctx_id);
-    if (wr.launch()) {
+    // Fetch the context after launching: the launch may create QPs.
+    const bool launched = wr.launch();
+    QpCtx& q = qps_[static_cast<size_t>(wr.qp)];
+    if (launched) {
       ++stats_.wr_launched;
       stats_.launch_delay_us.Add(ToMicroseconds(eq_->Now() - wr.posted));
       wr.launch = nullptr;  // wire matching only needs verb/posted
@@ -143,17 +146,21 @@ void HostPathDevice::LaunchAt(Time at, Wr wr) {
     // way, draining the backlog deterministically).
     ++stats_.wr_retired;
     --q.sq_used;
-    if (!q.backlog.empty()) {
-      Wr next = std::move(q.backlog.front());
-      q.backlog.pop_front();
-      ++q.sq_used;
-      JoinBatch(std::move(next));
-    }
+    AdmitBacklog(q);
   });
 }
 
+void HostPathDevice::AdmitBacklog(QpCtx& q) {
+  if (q.backlog.empty()) return;
+  ++q.sq_used;
+  Wr next = std::move(q.backlog.front());
+  q.backlog.pop_front();
+  JoinBatch(std::move(next));
+}
+
 void HostPathDevice::OnWireComplete(int ctx_id, std::function<void()> done) {
-  QpCtx& q = Ctx(ctx_id);
+  const int qp = LocalIndex(ctx_id);
+  QpCtx& q = qps_[static_cast<size_t>(qp)];
   DCQCN_CHECK(!q.inflight.empty());  // completion with nothing launched
   const Verb verb = q.inflight.front().verb;
   const Bytes bytes = q.inflight.front().bytes;
@@ -164,19 +171,13 @@ void HostPathDevice::OnWireComplete(int ctx_id, std::function<void()> done) {
   // completion-poll latency make the CQE visible to software.
   Time t = verb == Verb::kRead ? pcie_.Acquire(bytes, now) : now;
   t = pcie_.Acquire(cfg_.cqe_bytes, t) + cfg_.cqe_latency;
-  eq_->ScheduleIn(t - now, [this, ctx_id, verb, posted,
-                            done = std::move(done)] {
+  eq_->ScheduleIn(t - now, [this, qp, verb, posted, done = std::move(done)] {
     ++stats_.wr_completed;
     stats_.verb_lat_us[static_cast<int>(verb)].Add(
         ToMicroseconds(eq_->Now() - posted));
-    QpCtx& q = Ctx(ctx_id);
+    QpCtx& q = qps_[static_cast<size_t>(qp)];
     --q.sq_used;
-    if (!q.backlog.empty()) {
-      Wr next = std::move(q.backlog.front());
-      q.backlog.pop_front();
-      ++q.sq_used;
-      JoinBatch(std::move(next));
-    }
+    AdmitBacklog(q);
     if (done != nullptr) done();
   });
 }

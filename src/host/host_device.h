@@ -36,6 +36,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/units.h"
@@ -75,9 +78,11 @@ class HostPathDevice {
   // `node_id` is the owning NIC's node id (telemetry labeling only).
   HostPathDevice(EventQueue* eq, const HostPathConfig& cfg, int node_id);
 
-  // Allocates a QP context. `ctx_id` keys the QP cache; the paired MR
-  // context (registered buffer) keys the MR cache with the same id. Ids are
-  // small ints — VerbsWorkloadHost uses the network flow id.
+  // Allocates a QP context. `ctx_id` names the QP; its paired MR context
+  // (registered buffer) shares the id. Ids are small non-negative ints —
+  // VerbsWorkloadHost uses the network flow id — and need not be dense on
+  // one device: contexts live in a device-local table, and the QP/MR caches
+  // key on the local index.
   void CreateQp(int ctx_id);
 
   // Posts a WR on `ctx_id` (must exist via CreateQp). When every host-side
@@ -112,25 +117,43 @@ class HostPathDevice {
 
  private:
   struct Wr {
-    int ctx_id = -1;
+    int qp = -1;  // device-local context index
     Verb verb = Verb::kWrite;
     Bytes bytes = 0;
     Time posted = 0;
     std::function<bool()> launch;
   };
 
+  // FIFO of WRs whose deque is created on first push. An unused FIFO
+  // allocates nothing and every FIFO moves noexcept (a bare libstdc++
+  // deque does neither), so the context table grows by cheap moves.
+  class WrFifo {
+   public:
+    bool empty() const { return q_ == nullptr || q_->empty(); }
+    Wr& front() { return q_->front(); }
+    void push_back(Wr wr) {
+      if (q_ == nullptr) q_ = std::make_unique<std::deque<Wr>>();
+      q_->push_back(std::move(wr));
+    }
+    void pop_front() { q_->pop_front(); }
+
+   private:
+    std::unique_ptr<std::deque<Wr>> q_;
+  };
+
   struct QpCtx {
-    bool exists = false;
     // posted-or-launched and not yet completed/retired (SQ occupancy).
     int sq_used = 0;
     // Launch-order FIFO of (verb, posted) for wire-completion matching.
-    std::deque<Wr> inflight;
+    WrFifo inflight;
     // Posts blocked on a full SQ, admitted as completions free slots.
-    std::deque<Wr> backlog;
+    WrFifo backlog;
     Time last_launch = 0;  // per-QP launch FIFO frontier
   };
+  static_assert(std::is_nothrow_move_constructible_v<QpCtx>);
 
-  QpCtx& Ctx(int ctx_id);
+  // Device-local index of context `ctx_id` (must exist via CreateQp).
+  int LocalIndex(int ctx_id) const;
   // SQ admission: batch the WR (possibly ringing the doorbell) or backlog
   // it when the QP's SQ is full.
   void Admit(Wr wr);
@@ -139,11 +162,14 @@ class HostPathDevice {
   // schedules each WR's launch. Cancels any pending flush.
   void RingDoorbell();
   void LaunchAt(Time at, Wr wr);
+  // Admits the oldest backlogged WR of `q`, if any, into the freed SQ slot.
+  void AdmitBacklog(QpCtx& q);
 
   EventQueue* eq_;
   const HostPathConfig cfg_;
   const int node_id_;
-  std::vector<QpCtx> qps_;  // ctx id -> context (dense)
+  std::vector<int32_t> local_;  // ctx id -> local index, -1 = none
+  std::vector<QpCtx> qps_;      // local index -> context, creation order
   LruCtxCache qp_cache_;
   LruCtxCache mr_cache_;
   PcieBus pcie_;

@@ -3,20 +3,25 @@
 // Allocation-free in steady state: callbacks live in InlineCallback slots
 // (fixed inline capture storage, no heap fallback), slots are recycled
 // through an intrusive free list, and pending events live in one of two
-// structures keyed on (time, sequence):
+// structures keyed on (time, key, sequence):
 //
 //  * a hierarchical timer wheel (sim/timer_wheel.h) for everything within
-//    ~68 ms of the wheel cursor — O(1) per event, which is nearly every
+//    ~550 ms of the wheel cursor — O(1) per event, which is nearly every
 //    event a simulation schedules (serializations, propagations, DCQCN
-//    timers, retransmission timeouts);
-//  * a 4-ary min-heap of 24-byte entries for the sparse far-future
-//    remainder. Heap entries never migrate to the wheel.
+//    timers, retransmission timeouts). Its L0 level spans ~2.1 us, a whole
+//    fabric hop, so the common event is filed once into an L0 chain kept in
+//    fire order and fires from it: the L0 bucket under the cursor is the
+//    wheel's ready list in place;
+//  * a 4-ary min-heap of 32-byte entries for the rest: the rare far-future
+//    event, and events scheduled behind a wheel cursor that a
+//    NextEventTime() peek moved ahead of the clock. Heap entries never
+//    migrate to the wheel.
 //
-// The two tops are merged with the same comparison the heap alone used, so
-// the global fire order — and with it every golden trace — is unchanged:
-// two events scheduled for the same picosecond fire in the order they were
-// scheduled, keeping whole simulations reproducible across runs and
-// platforms.
+// PrepareTop merges the ready front with the heap top using the same
+// comparison the heap alone used, so the global fire order — and with it
+// every golden trace — is unchanged: two events scheduled for the same
+// picosecond fire in the order they were scheduled, keeping whole
+// simulations reproducible across runs and platforms.
 //
 // Ordering is really (time, key, sequence). In the default mode every key
 // is 0, which degenerates to the historical (time, sequence) FIFO — bit
@@ -32,11 +37,12 @@
 //
 // Cancellation is O(1) and hash-free: an EventHandle carries its slot index
 // and the 64-bit sequence number stamped on the slot when the event was
-// armed. Cancel() frees the slot (clearing the stamp); a wheel-chained
-// entry is unlinked in place, while heap/ready entries become tombstones
-// skipped when they reach the front. Sequence numbers are never reused, so
-// a stale handle — fired or cancelled long ago — can never alias a newer
-// event no matter how often its slot is recycled.
+// armed. Cancel() frees the slot (clearing the stamp); a wheel entry is
+// unlinked in place — ready or not, so the wheel holds no tombstones —
+// while a heap entry becomes a tombstone skipped when it reaches the top.
+// Sequence numbers are never reused, so a stale handle — fired or cancelled
+// long ago — can never alias a newer event no matter how often its slot is
+// recycled.
 #pragma once
 
 #include <cstdint>
@@ -156,14 +162,14 @@ class EventQueue {
 
   // Cancels a pending event. Returns true if the event had not yet fired and
   // was cancelled; false for stale, fired, or default handles. O(1): the
-  // slot is freed immediately and the heap entry dies in place, to be
-  // skipped (and popped lazily) when it reaches the top.
+  // slot is freed immediately; a wheel entry is unlinked, a heap entry dies
+  // in place, to be skipped (and popped lazily) when it reaches the top.
   bool Cancel(EventHandle h) {
     DCQCN_DCHECK(DebugAffinityOk());
     if (!h.valid()) return false;
     Slot& s = slots_[h.slot_];
     if (s.armed_seq != h.seq_) return false;
-    wheel_.OnCancel(h.slot_);  // unlink if chained; tombstone otherwise
+    wheel_.OnCancel(h.slot_);  // unlink if in the wheel; heap tombstones
     s.cb.Reset();
     FreeSlot(h.slot_);
     --live_;
@@ -179,10 +185,11 @@ class EventQueue {
   static constexpr Time kNoEventTime = std::numeric_limits<Time>::max();
 
   // Timestamp of the earliest live event without firing it, or kNoEventTime
-  // when the queue is drained. Prunes cancelled fronts (same path RunOne
-  // takes), so the answer is exact. The hybrid fast-forward controller uses
-  // this to bound analytic epochs by the next scheduled packet-level event
-  // (workload arrival timers, fault transitions, probes).
+  // when the queue is drained. Prunes cancelled heap tops and advances the
+  // wheel (same path RunOne takes), so the answer is exact. The hybrid
+  // fast-forward controller uses this to bound analytic epochs by the next
+  // scheduled packet-level event (workload arrival timers, fault
+  // transitions, probes).
   Time NextEventTime() {
     switch (PrepareTop()) {
       case TopSrc::kNone:
@@ -320,8 +327,8 @@ class EventQueue {
     free_head_ = slot;
   }
 
-  // 4-ary min-heap: shallower than a binary heap and the four children of a
-  // node share a cache line's worth of 24-byte entries.
+  // 4-ary min-heap: shallower than a binary heap, and the four 32-byte
+  // children of a node sit in two adjacent cache lines.
   void HeapPush(HeapEntry e) {
     heap_.push_back(e);
     size_t i = heap_.size() - 1;
@@ -357,38 +364,31 @@ class EventQueue {
 
   enum class TopSrc : uint8_t { kNone, kHeap, kReady };
 
-  // The single pruning + merge point: drops cancelled entries off both
-  // fronts, drains wheel buckets that could hold the next event, and says
-  // where the earliest live event sits. RunOne/RunUntil/RunAll all drain
-  // through here exactly once per pop.
+  // The single pruning + merge point: drops cancelled entries off the heap
+  // top, advances the wheel while a chained bucket could hold the next
+  // event, and says where the earliest live event sits. RunOne/RunUntil/
+  // RunAll all drain through here exactly once per pop. The wheel needs no
+  // pruning (cancel unlinks), and it only advances while its ready chain is
+  // empty: chained entries lie at later ticks than every ready entry.
   TopSrc PrepareTop() {
     for (;;) {
       while (!heap_.empty() &&
              slots_[heap_[0].slot].armed_seq != heap_[0].seq) {
         HeapPopMin();
       }
-      wheel_.SkipDeadReady([this](const TimerWheel::Entry& e) {
-        return slots_[e.slot].armed_seq != e.seq;
-      });
-      const bool have_heap = !heap_.empty();
-      const bool have_ready = !wheel_.ReadyEmpty();
-      if (wheel_.HasChained()) {
-        Time known = kTimeMax;
-        if (have_heap) known = heap_[0].at;
-        if (have_ready) {
-          const Time r = wheel_.ReadyFront().at;
-          if (r < known) known = r;
-        }
-        // A chained bucket starting at or before the best known candidate
-        // may hold the true earliest event: advance the wheel and re-check.
-        if (wheel_.NextChainedStart() <= known) {
+      if (wheel_.ReadyEmpty()) {
+        // A chained bucket starting at or before the heap top may hold the
+        // true earliest event: advance the wheel and re-check.
+        if (wheel_.size() > 0 &&
+            wheel_.NextChainedStart() <= (heap_.empty() ? kTimeMax
+                                                        : heap_[0].at)) {
           wheel_.DrainOneStep();
           continue;
         }
+        return heap_.empty() ? TopSrc::kNone : TopSrc::kHeap;
       }
-      if (!have_ready) return have_heap ? TopSrc::kHeap : TopSrc::kNone;
-      if (!have_heap) return TopSrc::kReady;
-      const TimerWheel::Entry& r = wheel_.ReadyFront();
+      if (heap_.empty()) return TopSrc::kReady;
+      const TimerWheel::Entry r = wheel_.ReadyFront();
       const HeapEntry& h = heap_[0];
       const bool ready_first =
           r.at != h.at ? r.at < h.at
@@ -427,12 +427,11 @@ class EventQueue {
     Invoke(e.key, cb);
   }
 
-  // Pre: ready front is live. Same contract as FireTop.
+  // Pre: the ready chain is non-empty. Same contract as FireTop.
   void FireReady() {
     const TimerWheel::Entry e = wheel_.PopReady();
     if (!wheel_.ReadyEmpty()) {
-      // Overlap the next event's slot fetch with this callback's execution
-      // (dead entries prefetch harmlessly; most ready entries are live).
+      // Overlap the next event's slot fetch with this callback's execution.
       __builtin_prefetch(&slots_[wheel_.ReadyFront().slot]);
     }
     DCQCN_DCHECK(e.at >= now_);

@@ -11,6 +11,7 @@
 //   ./build/bench/regen_cc_goldens --trace <scenario> <policy>
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "cc/scenarios.h"
@@ -44,6 +45,13 @@ constexpr Pin kPins[] = {
     {"incast", "timely", 0xd0deff71c9bd303bull, 3702},
     {"incast", "qcn", 0xa119dde0cca2e074ull, 4019},
 };
+
+// Print a pin by name, not as raw bytes: its bytes hold string addresses,
+// which move with every build and process, and gtest puts the printed
+// parameter into the test names that CTest discovers.
+void PrintTo(const Pin& pin, std::ostream* os) {
+  *os << pin.scenario << "/" << pin.policy;
+}
 
 TransportMode ModeOf(const std::string& policy) {
   if (policy == "dctcp") return TransportMode::kDctcp;
