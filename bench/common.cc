@@ -1,6 +1,7 @@
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "bench/common.h"
 #include "fault/fault_injector.h"
@@ -414,6 +415,12 @@ runner::TrialSpec ScaleTrial(const ScaleCase& c,
       r.counters["hybrid_entry_rejects"] = hs.entry_rejects;
       r.counters["hybrid_exits_infeasible"] = hs.exits_infeasible;
       r.counters["hybrid_exits_fault"] = hs.exits_fault;
+      for (size_t i = 0; i < hybrid::kNumRejectReasons; ++i) {
+        r.counters[std::string("hybrid_reject_") +
+                   hybrid::RejectReasonName(
+                       static_cast<hybrid::RejectReason>(i))] =
+            hs.rejects[i];
+      }
       r.metrics["hybrid_ff_ms"] = ToMilliseconds(hs.ff_time);
     }
     r.metrics["sim_ms"] = ToSeconds(c.duration) * 1e3;

@@ -15,6 +15,18 @@
 // Deterministic by construction: no RNG, no pointer-keyed iteration — the
 // caller supplies dense link indices and demand order, and the result is a
 // pure function of them.
+//
+// Cost: each call compacts the links some demand crosses to local indices
+// and fills over those alone — O(hops · log hops) set-up plus O(hops) per
+// round, independent of link_capacity.size() — so the epoch controller can
+// re-run it on every modelled arrival at large-Clos scale.
+//
+// Capacity is per cable, not per direction: the controller passes one entry
+// per full-duplex Link, so a flow's data and a reverse flow's data crossing
+// the same cable share it. That over-constrains opposite-direction flows,
+// and it is load-bearing: ACKs ride the reverse direction behind reverse
+// data serialization, which the analytic model does not capture, and the
+// shared capacity keeps such pairs in packet mode (DESIGN §4k).
 #pragma once
 
 #include <cstdint>

@@ -2,11 +2,23 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
 
 #include "common/check.h"
 #include "net/packet.h"
 
 namespace dcqcn::hybrid {
+
+const char* RejectReasonName(RejectReason r) {
+  static constexpr const char* kNames[] = {
+      "loss",       "fault_window",     "switch_queue",
+      "switch_pfc", "host_pfc",         "slow_receiver",
+      "flow_shape", "nothing_to_elide", "infeasible"};
+  static_assert(std::size(kNames) == kNumRejectReasons);
+  const auto i = static_cast<size_t>(r);
+  DCQCN_CHECK(i < kNumRejectReasons);
+  return kNames[i];
+}
 
 bool ParseHybridSpec(const std::string& spec, HybridConfig* out) {
   HybridConfig cfg;
@@ -57,7 +69,7 @@ HybridEngine::HybridEngine(Network* net, const HybridConfig& cfg,
   const auto& links = net_->links();
   link_capacity_.reserve(links.size());
   for (size_t i = 0; i < links.size(); ++i) {
-    link_index_.emplace(links[i].get(), static_cast<int32_t>(i));
+    DCQCN_CHECK(links[i]->index() == static_cast<int32_t>(i));
     link_capacity_.push_back(links[i]->rate());
   }
   net_->SetFlowObserver([this](SenderQp* qp) { OnFlowStarted(qp); });
@@ -117,11 +129,14 @@ void HybridEngine::SweepCompleted() {
 void HybridEngine::Probe() {
   ++stats_.probes;
   SweepCompleted();
-  if (FabricQuiescent() && TryEnterFlowMode()) return;
+  std::optional<RejectReason> why = FabricQuiescent();
+  if (!why) why = TryEnterFlowMode();
+  if (!why) return;
   ++stats_.entry_rejects;
+  ++stats_.rejects[static_cast<size_t>(*why)];
 }
 
-bool HybridEngine::FabricQuiescent() {
+std::optional<RejectReason> HybridEngine::FabricQuiescent() {
   const Time now = net_->eq().Now();
   // Loss activity since the last probe; baselines refresh unconditionally.
   const int64_t drops = net_->TotalDrops();
@@ -129,27 +144,23 @@ bool HybridEngine::FabricQuiescent() {
   const bool quiet = drops == last_drops_ && naks == last_naks_;
   last_drops_ = drops;
   last_naks_ = naks;
-  if (!quiet) return false;
-  if (InFaultWindow(now)) return false;
+  if (!quiet) return RejectReason::kLoss;
+  if (InFaultWindow(now)) return RejectReason::kFaultWindow;
   for (const auto& sw : net_->switches()) {
     // Below RED kmin nothing marks, so packet-level CC would see no signal;
     // queue_frac keeps a margin under it.
     const Bytes limit = static_cast<Bytes>(
         cfg_.queue_frac * static_cast<double>(sw->config().red.kmin));
-    if (sw->shared_occupancy() > limit) return false;
-    for (int p = 0; p < sw->num_ports(); ++p) {
-      for (int pr = 0; pr < kNumPriorities; ++pr) {
-        if (sw->PauseSent(p, pr) || sw->TxPaused(p, pr)) return false;
-      }
+    if (sw->shared_occupancy() > limit) return RejectReason::kSwitchQueue;
+    if (sw->pauses_outstanding() > 0 || sw->tx_paused_count() > 0) {
+      return RejectReason::kSwitchPfc;
     }
   }
   for (const auto& nic : net_->hosts()) {
-    if (nic->control_delay() > 0) return false;  // slow-receiver fault
-    for (int pr = 0; pr < kNumPriorities; ++pr) {
-      if (nic->TxPaused(pr)) return false;
-    }
+    if (nic->control_delay() > 0) return RejectReason::kSlowReceiver;
+    if (nic->AnyTxPaused()) return RejectReason::kHostPfc;
   }
-  return true;
+  return std::nullopt;
 }
 
 bool HybridEngine::InFaultWindow(Time t) const {
@@ -175,20 +186,21 @@ Time HybridEngine::NextFaultBoundary(Time after) const {
 
 // --- flow mode --------------------------------------------------------------
 
-bool HybridEngine::TryEnterFlowMode() {
+std::optional<RejectReason> HybridEngine::TryEnterFlowMode() {
   // All-or-nothing: a window-based, multi-message, rewinding, unbounded or
   // not-yet-started flow pins the whole network to packet mode (suspending
   // its NIC while others fast-forward would distort it).
   std::vector<SenderQp*> todo;
   for (SenderQp* qp : active_) {
-    if (!qp->started() || qp->unbounded()) return false;
-    if (qp->cc().window_based()) return false;
-    if (qp->OutstandingMessages() > 1) return false;
-    if (qp->snd_next() < qp->snd_high()) return false;  // loss rewind
+    if (!qp->started() || qp->unbounded() || qp->cc().window_based() ||
+        qp->OutstandingMessages() > 1 ||
+        qp->snd_next() < qp->snd_high()) {  // loss rewind
+      return RejectReason::kFlowShape;
+    }
     if (!qp->complete() && qp->snd_next() < qp->send_limit())
       todo.push_back(qp);
   }
-  if (todo.empty()) return false;  // nothing to elide
+  if (todo.empty()) return RejectReason::kNothingToElide;
 
   in_ff_ = true;
   ff_entry_ = net_->eq().Now();
@@ -198,7 +210,7 @@ bool HybridEngine::TryEnterFlowMode() {
         ff_pos_[static_cast<size_t>(f.flow_id)] = -1;
       ff_flows_.clear();
       in_ff_ = false;
-      return false;
+      return RejectReason::kInfeasible;
     }
   }
   // Nothing ran between the models (pure computation), so the frozen pacing
@@ -206,7 +218,7 @@ bool HybridEngine::TryEnterFlowMode() {
   // physically and drains itself under the suspension.
   for (const auto& nic : net_->hosts()) nic->SetTxSuspended(true);
   ++stats_.epochs;
-  return true;
+  return std::nullopt;
 }
 
 bool HybridEngine::ModelFlow(SenderQp* qp) {
@@ -228,14 +240,14 @@ bool HybridEngine::ModelFlow(SenderQp* qp) {
   f.reff = qp->cc().RateCap();
   if (f.reff <= 0) return false;
 
-  const std::vector<Link*> path = net_->FlowPathLinks(qp->spec());
-  f.link_idx.reserve(path.size());
-  for (const Link* l : path) f.link_idx.push_back(LinkIndex(l));
+  net_->FlowPathLinks(qp->spec(), &path_);
+  f.link_idx.reserve(path_.size());
+  for (const Link* l : path_) f.link_idx.push_back(l->index());
   if (!AllocationFeasible(&f)) return false;
 
   FlowSpec rspec = qp->spec();
   std::swap(rspec.src_host, rspec.dst_host);
-  const std::vector<Link*> rpath = net_->FlowPathLinks(rspec);
+  net_->FlowPathLinks(rspec, &rpath_);
 
   // Mirror of SenderQp pacing + Link store-and-forward, in integer ps:
   // packet k sends at u0 + (k - k0) * gap, the last packet traverses the
@@ -245,12 +257,12 @@ bool HybridEngine::ModelFlow(SenderQp* qp) {
   f.u0 = std::max(qp->next_allowed(), net_->eq().Now());
   f.gap = TransmissionTime(kMtu, f.reff);
   const Bytes s_last = qp->PacketBytesAt(f.end - 1);
-  const Time d_ack = PathControlLatency(rpath);
+  const Time d_ack = PathControlLatency(rpath_);
   const Time t_last =
       f.u0 + static_cast<Time>(f.end - 1 - f.k0) * f.gap;
-  f.comp = t_last + PathDataLatency(path, s_last) + d_ack;
+  f.comp = t_last + PathDataLatency(path_, s_last) + d_ack;
   f.na_final = t_last + TransmissionTime(s_last, f.reff);
-  f.rtt_hint = PathDataLatency(path, kMtu) + d_ack;
+  f.rtt_hint = PathDataLatency(path_, kMtu) + d_ack;
 
   const size_t id = static_cast<size_t>(f.flow_id);
   if (ff_pos_.size() <= id) ff_pos_.resize(id + 1, -1);
@@ -407,12 +419,6 @@ Time HybridEngine::PathDataLatency(const std::vector<Link*>& path,
 
 Time HybridEngine::PathControlLatency(const std::vector<Link*>& path) const {
   return PathDataLatency(path, kControlFrameBytes);
-}
-
-int32_t HybridEngine::LinkIndex(const Link* l) const {
-  const auto it = link_index_.find(l);
-  DCQCN_CHECK(it != link_index_.end());
-  return it->second;
 }
 
 }  // namespace dcqcn::hybrid

@@ -42,15 +42,27 @@
 // ACKs sharing a reverse-path link with data can be queued behind one
 // serialization per hop, which the analytic model ignores. Both are bounded
 // and only occur on the entry/exit seams, never during steady fast-forward.
+// The allocator's capacity table holds one entry per full-duplex Link, so
+// opposite-direction flows on one cable share it; that keeps most
+// ACK-behind-data pairs in packet mode and holds the under-load FCT error
+// inside its 5% contract (per-direction capacity cuts the sparse
+// benchmark's events by about a third but breaks that contract).
+//
+// Controller cost scales with devices and modelled flows, not ports or
+// links: the gate reads each switch's maintained PFC counts
+// (pauses_outstanding / tx_paused_count) and each NIC's pause mask in O(1),
+// links are keyed by their dense Link::index(), and the allocator visits
+// only the links the modelled flows cross.
 //
 // Default off; `--hybrid` everywhere the runner is (single-queue mode only,
 // not composable with --shards or --host).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/units.h"
@@ -87,9 +99,31 @@ struct HybridConfig {
 // *out untouched) on an unknown key or malformed value.
 bool ParseHybridSpec(const std::string& spec, HybridConfig* out);
 
+// Why a packet-mode probe stayed in packet mode: the first gate condition
+// that failed, in evaluation order.
+enum class RejectReason : uint8_t {
+  kLoss,            // drops or NAKs since the previous probe
+  kFaultWindow,     // a fault is active or within guard of a boundary
+  kSwitchQueue,     // a switch's shared occupancy is above queue_frac * kmin
+  kSwitchPfc,       // a switch has a PAUSE outstanding or is itself paused
+  kHostPfc,         // a NIC is PFC-paused on some priority
+  kSlowReceiver,    // a NIC carries a slow-receiver control delay
+  kFlowShape,       // a flow is unstarted, unbounded, window-based,
+                    // multi-message or rewound
+  kNothingToElide,  // no flow has unsent data
+  kInfeasible,      // some flow's allocation is below (1 - eps) * cap
+  kCount,
+};
+inline constexpr size_t kNumRejectReasons =
+    static_cast<size_t>(RejectReason::kCount);
+// Stable snake_case name ("loss", "switch_pfc", ...) for counters.
+const char* RejectReasonName(RejectReason r);
+
 struct HybridStats {
   int64_t probes = 0;            // quiescence evaluations in packet mode
   int64_t entry_rejects = 0;     // probes failing the gate
+  // entry_rejects split by RejectReason; the entries sum to entry_rejects.
+  std::array<int64_t, kNumRejectReasons> rejects{};
   int64_t epochs = 0;            // flow-mode epochs entered
   int64_t ff_completions = 0;    // flows completed analytically
   int64_t ff_packets = 0;        // data packets elided (never simulated)
@@ -142,14 +176,17 @@ class HybridEngine {
 
   // Packet-mode probe: evaluates the gate, enters flow mode on pass.
   void Probe();
-  bool FabricQuiescent();
+  // The fabric half of the gate: empty when quiescent, else why not. O(1)
+  // per switch and per NIC.
+  std::optional<RejectReason> FabricQuiescent();
   // True if `t` falls inside any fault's [at - guard, end + guard) window.
   bool InFaultWindow(Time t) const;
   // Earliest future fault boundary (activation or heal) minus guard;
   // kTimeMax if none.
   Time NextFaultBoundary(Time after) const;
 
-  bool TryEnterFlowMode();
+  // The flow half of the gate: empty when flow mode was entered.
+  std::optional<RejectReason> TryEnterFlowMode();
   // One flow-mode step toward `deadline`; sets in_ff_ = false on exit.
   void StepFlowMode(Time deadline);
   void ExitFlowMode(Time t_exit, bool infeasible, bool fault);
@@ -166,16 +203,18 @@ class HybridEngine {
 
   Time PathDataLatency(const std::vector<Link*>& path, Bytes bytes) const;
   Time PathControlLatency(const std::vector<Link*>& path) const;
-  int32_t LinkIndex(const Link* l) const;
 
   Network* net_;
   HybridConfig cfg_;
   FaultPlan faults_;
   HybridStats stats_;
 
-  // Dense link index for the allocator (pointer -> construction order).
-  std::unordered_map<const Link*, int32_t> link_index_;
+  // Allocator capacity per Link::index(): one entry per full-duplex cable,
+  // shared by both directions (see the file comment).
   std::vector<Rate> link_capacity_;
+  // ModelFlow's reusable forward/reverse path buffers.
+  std::vector<Link*> path_;
+  std::vector<Link*> rpath_;
 
   // Registered flows: everything StartFlow announced that the lazy sweep
   // has not yet retired. reg_pos_: flow id -> index (-1 = absent).

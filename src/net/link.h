@@ -80,6 +80,11 @@ class Link {
   Node* node_a() const { return fwd_.from; }
   Node* node_b() const { return rev_.from; }
 
+  // Position in the owning Network's links() (assigned by Network::Connect;
+  // -1 for a link built outside a Network). A dense key for per-link tables.
+  int32_t index() const { return index_; }
+  void set_index(int32_t index) { index_ = index; }
+
   // --- fault-injection hooks (driven by FaultInjector, src/fault) ---
 
   // Takes the link down / brings it back up (both directions). Going down
@@ -204,6 +209,7 @@ class Link {
 
   Rate rate_;
   Time propagation_;
+  int32_t index_ = -1;
   bool up_ = true;
   bool canonical_ = false;  // BindShardEngines was called
   uint64_t loss_seed_ = 0;

@@ -121,6 +121,7 @@ Link* Network::Connect(Node* a, int port_a, Node* b, int port_b, Rate rate,
                                        propagation, &pool_);
     Link* raw = link.get();
     raw->SetTracer(tracer_.get());
+    raw->set_index(static_cast<int32_t>(links_.size()));
     links_.push_back(std::move(link));
     adj_[static_cast<size_t>(a->id())].push_back(Adjacency{b, port_a});
     adj_[static_cast<size_t>(b->id())].push_back(Adjacency{a, port_b});
@@ -162,6 +163,7 @@ Link* Network::Connect(Node* a, int port_a, Node* b, int port_b, Rate rate,
                         &shards_[sb].pool, fc, rc,
                         LinkLossSeed(seed_, a->id(), b->id()));
   raw->SetDirectionTracers(shards_[sa].tracer.get(), shards_[sb].tracer.get());
+  raw->set_index(static_cast<int32_t>(links_.size()));
   links_.push_back(std::move(link));
   adj_[static_cast<size_t>(a->id())].push_back(Adjacency{b, port_a});
   adj_[static_cast<size_t>(b->id())].push_back(Adjacency{a, port_b});
@@ -214,12 +216,13 @@ SenderQp* Network::StartFlow(FlowSpec spec) {
   return qp;
 }
 
-std::vector<Link*> Network::FlowPathLinks(const FlowSpec& spec) const {
-  std::vector<Link*> path;
+void Network::FlowPathLinks(const FlowSpec& spec,
+                            std::vector<Link*>* path) const {
+  path->clear();
   const uint64_t key = FlowEcmpKey(spec.flow_id, spec.ecmp_salt);
   const Node* cur = nodes_[static_cast<size_t>(spec.src_host)];
   Link* first = cur->link(0);  // host uplink is always port 0
-  path.push_back(first);
+  path->push_back(first);
   Node* nxt = first->Peer(cur);
   int hops = 0;
   while (nxt->id() != spec.dst_host) {
@@ -227,10 +230,9 @@ std::vector<Link*> Network::FlowPathLinks(const FlowSpec& spec) const {
     SharedBufferSwitch* sw = FindSwitch(nxt->id());
     DCQCN_CHECK(sw != nullptr);
     Link* l = sw->link(sw->EcmpSelect(key, spec.dst_host));
-    path.push_back(l);
+    path->push_back(l);
     nxt = l->Peer(sw);
   }
-  return path;
 }
 
 void Network::ReleaseFlow(const FlowSpec& spec) {

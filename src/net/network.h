@@ -104,9 +104,10 @@ class Network {
     flow_observer_ = std::move(cb);
   }
   // The ordered links a flow's data path traverses src -> dst, resolved
-  // with the same per-switch ECMP hash the wire uses. Deterministic; used
-  // by the flow-level max-min allocator.
-  std::vector<Link*> FlowPathLinks(const FlowSpec& spec) const;
+  // with the same per-switch ECMP hash the wire uses, written into the
+  // caller-owned `*path` (cleared first, so a reused buffer allocates
+  // nothing). Deterministic; used by the flow-level max-min allocator.
+  void FlowPathLinks(const FlowSpec& spec, std::vector<Link*>* path) const;
 
   // Releases all per-NIC state of a completed flow (sender QP + receiver
   // slot) and recycles its id for a future StartFlow. Deferred to a

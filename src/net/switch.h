@@ -151,6 +151,11 @@ class SharedBufferSwitch : public Node {
   void SetTracer(telemetry::EventTracer* tracer) { tracer_ = tracer; }
   bool PauseSent(int port, int priority) const;
   bool TxPaused(int port, int priority) const;
+  // Maintained counts of (port, priority) pairs with PauseSent / TxPaused
+  // set — what a whole-switch "any PFC activity?" query reads in O(1)
+  // instead of scanning every port and priority.
+  int pauses_outstanding() const { return pauses_outstanding_; }
+  int tx_paused_count() const { return tx_paused_count_; }
   // Cumulative time this (port, priority)'s transmission has spent paused,
   // including the currently open episode — what pause-storm detection and
   // Fig. 15-style "where did pauses propagate" analyses integrate over.
@@ -245,6 +250,9 @@ class SharedBufferSwitch : public Node {
   // Count of (port, priority) pairs with pause_sent set, so the per-release
   // CheckResumeAll scan is skipped entirely in the common unpaused state.
   int pauses_outstanding_ = 0;
+  // Count of (port, priority) pairs with tx_paused set; SetTxPaused is the
+  // only writer of tx_paused, so it keeps this exact.
+  int tx_paused_count_ = 0;
   // Paused-time integration per (port, priority): closed episodes accumulate
   // into `paused_accum_`; `paused_since_` stamps the open episode.
   std::vector<std::array<Time, kNumPriorities>> paused_accum_;

@@ -106,8 +106,10 @@ class RdmaNic : public Node {
   SenderQp* FindQp(int flow_id) const;
   const NicConfig& config() const { return config_; }
   bool TxPaused(int priority) const {
-    return tx_paused_[static_cast<size_t>(priority)];
+    return (tx_paused_mask_ >> priority) & 1u;
   }
+  // True when PFC pauses this NIC's transmission on any priority.
+  bool AnyTxPaused() const { return tx_paused_mask_ != 0; }
   // Structured event tracing; propagates to existing and future sender QPs.
   void SetTracer(telemetry::EventTracer* tracer);
 
@@ -201,6 +203,13 @@ class RdmaNic : public Node {
   void EnqueueControl(const Packet& c);
   void EmitStormPause(int priority);
   void RearmStorm(size_t pr);
+  void SetTxPaused(size_t pr, bool paused) {
+    if (paused) {
+      tx_paused_mask_ |= static_cast<uint8_t>(1u << pr);
+    } else {
+      tx_paused_mask_ &= static_cast<uint8_t>(~(1u << pr));
+    }
+  }
 
   EventQueue* eq_;
   NicConfig config_;
@@ -233,11 +242,13 @@ class RdmaNic : public Node {
   std::vector<RcvFlow> rcv_store_;    // packed, first-packet arrival order
   RingBuffer<Packet> ctrl_out_;
   // PFC frames from the pause-storm generator; sent ahead of everything and
-  // exempt from tx_paused_ (MAC control frames are never subject to PFC).
+  // exempt from PFC pauses (MAC control frames are never subject to PFC).
   RingBuffer<Packet> pfc_out_;
   CnpGenerationGate cnp_gate_;
 
-  bool tx_paused_[kNumPriorities] = {};
+  // Bit p set = transmission on priority p is PFC-paused.
+  static_assert(kNumPriorities <= 8, "tx_paused_mask_ is uint8_t");
+  uint8_t tx_paused_mask_ = 0;
   // Expiry of a received PAUSE when NicConfig::pfc_pause_expiry is on.
   EventHandle rx_pause_expiry_[kNumPriorities];
   // Pause-storm state per priority: refresh period (0 = no storm) and the

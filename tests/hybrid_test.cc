@@ -1,18 +1,24 @@
 // Conformance suite for the hybrid packet/flow fast-forward engine
-// (src/hybrid/): the allocator's max-min fixed point, the --hybrid spec
-// grammar, and the engine's accuracy contract against the pure packet
-// engine — exact FCT equality on an uncongested fabric with zero pacing
-// jitter, bounded FCT error under load, byte-identical runner output across
-// --jobs, composition with every registered rate-based CC policy, and
-// packet-mode fallback around faults and window-based transports.
+// (src/hybrid/): the allocator's max-min fixed point (and its bit-for-bit
+// agreement with a full-scan reference), the --hybrid spec grammar, the
+// quiescence gate's maintained PFC counts against a brute-force scan, and
+// the engine's accuracy contract against the pure packet engine — exact FCT
+// equality on an uncongested fabric with zero pacing jitter, bounded FCT
+// error under load, byte-identical runner output across --jobs, composition
+// with every registered rate-based CC policy, packet-mode fallback around
+// faults and window-based transports, and per-reason reject accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
+#include "common/rng.h"
+#include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
 #include "hybrid/allocator.h"
 #include "hybrid/engine.h"
@@ -30,6 +36,7 @@ using hybrid::HybridConfig;
 using hybrid::HybridEngine;
 using hybrid::MaxMinAllocate;
 using hybrid::ParseHybridSpec;
+using hybrid::RejectReason;
 
 // ---------- allocator ----------
 
@@ -78,6 +85,117 @@ TEST(MaxMinAllocator, EmptyDemandsYieldEmptyResult) {
   EXPECT_TRUE(r.rate.empty());
 }
 
+// The allocator as first written: every filling round scans all links of
+// the fabric. Kept as the reference the touched-link allocator must match
+// bit for bit.
+AllocResult FullScanMaxMin(const std::vector<AllocDemand>& demands,
+                           const std::vector<Rate>& link_capacity) {
+  const size_t nf = demands.size();
+  const size_t nl = link_capacity.size();
+  AllocResult out;
+  out.rate.assign(nf, 0.0);
+  if (nf == 0) return out;
+  std::vector<Rate> remaining = link_capacity;
+  std::vector<int32_t> active(nl, 0);
+  std::vector<char> frozen(nf, 0);
+  size_t unfrozen = nf;
+  for (const AllocDemand& d : demands) {
+    for (int32_t l : d.links) ++active[static_cast<size_t>(l)];
+  }
+  constexpr double kRelTol = 1e-9;
+  while (unfrozen > 0) {
+    ++out.rounds;
+    double inc = std::numeric_limits<double>::infinity();
+    for (size_t l = 0; l < nl; ++l) {
+      if (active[l] > 0) inc = std::min(inc, remaining[l] / active[l]);
+    }
+    for (size_t f = 0; f < nf; ++f) {
+      if (!frozen[f]) inc = std::min(inc, demands[f].cap - out.rate[f]);
+    }
+    if (inc < 0) inc = 0;
+    for (size_t f = 0; f < nf; ++f) {
+      if (!frozen[f]) out.rate[f] += inc;
+    }
+    for (size_t l = 0; l < nl; ++l) {
+      if (active[l] > 0) remaining[l] -= inc * active[l];
+    }
+    size_t froze = 0;
+    for (size_t f = 0; f < nf; ++f) {
+      if (frozen[f]) continue;
+      bool stop = out.rate[f] >= demands[f].cap * (1.0 - kRelTol);
+      for (int32_t l : demands[f].links) {
+        const auto i = static_cast<size_t>(l);
+        stop = stop || remaining[i] <= kRelTol * link_capacity[i];
+      }
+      if (stop) {
+        frozen[f] = 1;
+        ++froze;
+        --unfrozen;
+        for (int32_t l : demands[f].links) --active[static_cast<size_t>(l)];
+      }
+    }
+    if (froze == 0) break;
+  }
+  return out;
+}
+
+TEST(MaxMinAllocator, TouchedLinkFillMatchesFullScanBitForBit) {
+  // Random demand sets: 1-64 flows, paths of 1-8 links (repeats allowed)
+  // drawn half from a small hot set — shared, oversubscribed bottlenecks —
+  // and half from the whole fabric. Every fourth set uses a 1000-2000 link
+  // fabric and the next a tiny one, so a call cannot lean on state sized by
+  // the previous call. Some sets pin link capacities a hair above another
+  // flow's cap, so a link ends a round just above or below the saturation
+  // tolerance.
+  Rng rng(/*seed=*/20150817);
+  const Rate kTiers[] = {Gbps(10), Gbps(25), Gbps(40), Gbps(100)};
+  for (int iter = 0; iter < 10000; ++iter) {
+    const bool large = iter % 4 == 0;
+    const auto nl = static_cast<size_t>(large ? rng.UniformInt(1000, 2000)
+                                              : rng.UniformInt(1, 64));
+    const bool equal_caps = rng.Chance(0.5);
+    std::vector<Rate> caps(nl);
+    for (Rate& c : caps) c = equal_caps ? Gbps(40) : kTiers[rng.UniformInt(0, 3)];
+    const auto hot = static_cast<int64_t>(
+        rng.UniformInt(1, static_cast<int64_t>(std::min<size_t>(nl, 6))));
+    const int64_t hot_base = rng.UniformInt(0, static_cast<int64_t>(nl) - 1);
+    std::vector<AllocDemand> demands(
+        static_cast<size_t>(rng.UniformInt(1, 64)));
+    for (AllocDemand& d : demands) {
+      d.cap = rng.Chance(0.5) ? Gbps(40) : Gbps(rng.Uniform(0.5, 100.0));
+      const int64_t hops = rng.UniformInt(1, 8);
+      for (int64_t h = 0; h < hops; ++h) {
+        const int64_t l =
+            rng.Chance(0.5)
+                ? (hot_base + rng.UniformInt(0, hot - 1)) %
+                      static_cast<int64_t>(nl)
+                : rng.UniformInt(0, static_cast<int64_t>(nl) - 1);
+        d.links.push_back(static_cast<int32_t>(l));
+      }
+    }
+    if (rng.Chance(0.25)) {
+      const double kNudge[] = {0.0, 1e-10, 1e-8, 1e-6};
+      for (const AllocDemand& d : demands) {
+        if (!rng.Chance(0.5)) continue;
+        const AllocDemand& other =
+            demands[static_cast<size_t>(rng.UniformInt(
+                0, static_cast<int64_t>(demands.size()) - 1))];
+        caps[static_cast<size_t>(d.links[0])] =
+            other.cap * (1.0 + kNudge[rng.UniformInt(0, 3)]);
+      }
+    }
+    SCOPED_TRACE("demand set " + std::to_string(iter));
+    const AllocResult want = FullScanMaxMin(demands, caps);
+    const AllocResult got = MaxMinAllocate(demands, caps);
+    EXPECT_EQ(got.rounds, want.rounds);
+    ASSERT_EQ(got.rate.size(), want.rate.size());
+    for (size_t i = 0; i < want.rate.size(); ++i) {
+      EXPECT_EQ(got.rate[i], want.rate[i]) << "demand " << i;
+    }
+    if (HasFailure()) return;
+  }
+}
+
 // ---------- spec grammar ----------
 
 TEST(HybridSpec, EmptyMeansDefaults) {
@@ -108,6 +226,86 @@ TEST(HybridSpec, RejectsUnknownKeysAndMalformedValues) {
   EXPECT_FALSE(ParseHybridSpec("eps=abc", &cfg));
   EXPECT_FALSE(ParseHybridSpec("check=", &cfg));
   EXPECT_FALSE(ParseHybridSpec("check", &cfg));
+}
+
+// ---------- quiescence gate counters ----------
+
+// Brute-force PFC scan of every switch and NIC, checked against the
+// maintained counts the quiescence gate reads. Returns the number of paused
+// (port, priority) pairs plus paused NICs, so callers can tell the run was
+// not vacuous.
+int ExpectGateCountersMatchScan(const Network& net) {
+  int paused = 0;
+  for (const auto& sw : net.switches()) {
+    int sent = 0;
+    int tx = 0;
+    for (int p = 0; p < sw->num_ports(); ++p) {
+      for (int pr = 0; pr < kNumPriorities; ++pr) {
+        sent += sw->PauseSent(p, pr) ? 1 : 0;
+        tx += sw->TxPaused(p, pr) ? 1 : 0;
+      }
+    }
+    EXPECT_EQ(sw->pauses_outstanding(), sent) << "switch " << sw->id();
+    EXPECT_EQ(sw->tx_paused_count(), tx) << "switch " << sw->id();
+    paused += sent + tx;
+  }
+  for (const auto& nic : net.hosts()) {
+    bool any = false;
+    for (int pr = 0; pr < kNumPriorities; ++pr) any = any || nic->TxPaused(pr);
+    EXPECT_EQ(nic->AnyTxPaused(), any) << "host " << nic->id();
+    paused += any ? 1 : 0;
+  }
+  return paused;
+}
+
+// 8:1 line-rate raw incast across pods on the testbed Clos (a PFC cascade
+// from the receiver's ToR up through the spines), checked every 10 us.
+void RunIncastCheckingGateCounters(const TopologyOptions& topt,
+                                   const FaultPlan& plan) {
+  Network net(/*seed=*/3);
+  const ClosTopology topo = BuildClos(net, 5, topt);
+  for (int tor = 0; tor < 2; ++tor) {
+    for (int h = 0; h < 4; ++h) {
+      FlowSpec f;
+      f.flow_id = net.NextFlowId();
+      f.src_host = topo.host(tor, h)->id();
+      f.dst_host = topo.host(3, 0)->id();
+      f.size_bytes = 0;  // greedy
+      f.mode = TransportMode::kRdmaRaw;
+      f.ecmp_salt = static_cast<uint64_t>(h);
+      net.StartFlow(f);
+    }
+  }
+  FaultInjector inj(&net, plan, /*seed=*/9);
+  inj.Arm();
+  int paused_steps = 0;
+  for (int step = 1; step <= 200; ++step) {
+    net.Run(step * Microseconds(10));
+    SCOPED_TRACE("t = " + std::to_string(step * 10) + " us");
+    if (ExpectGateCountersMatchScan(net) > 0) ++paused_steps;
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(net.TotalPauseFramesSent(), 0);
+  EXPECT_GT(paused_steps, 0);
+  EXPECT_EQ(inj.faults_started(), static_cast<int64_t>(plan.faults.size()));
+}
+
+TEST(GateCounters, MatchBruteForceScanWithPauseExpiryAndRefresh) {
+  TopologyOptions topt;
+  topt.switch_config.pfc_pause_expiry = Microseconds(100);
+  topt.switch_config.pfc_pause_refresh = Microseconds(40);
+  topt.nic_config.pfc_pause_expiry = Microseconds(100);
+  RunIncastCheckingGateCounters(topt, FaultPlan{});
+}
+
+TEST(GateCounters, MatchBruteForceScanAcrossLinkDown) {
+  // The receiver ToR (T4, node 3) loses one of its two leaf uplinks (L3,
+  // node 6) mid-incast: frames in flight on it — PAUSE and RESUME included
+  // — die, and the latching PFC model keeps whatever state they left.
+  FaultPlan plan;
+  plan.Add(LinkFlap(/*node_a=*/3, /*node_b=*/6, Microseconds(300),
+                    Microseconds(600)));
+  RunIncastCheckingGateCounters(TopologyOptions{}, plan);
 }
 
 // ---------- engine vs packet engine ----------
@@ -207,6 +405,41 @@ std::vector<runner::TrialResult> RunPoissonCase(const std::string& hybrid,
   return runner::RunTrials(matrix, opt);
 }
 
+TEST(HybridEngine, ProbeDuringPauseRejectsAsSwitchPfc) {
+  // A babbling NIC (host 0 of T3) pauses its ToR's downlink while one
+  // bounded flow runs elsewhere with no queue and no loss: every probe
+  // during the storm must reject on switch PFC; once the storm heals, the
+  // same flow fast-forwards.
+  Network net(/*seed=*/11);
+  const ClosTopology topo = BuildClos(net, 5, TopologyOptions{});
+  HybridConfig cfg;
+  cfg.check_interval = Microseconds(5);
+  HybridEngine hyb(&net, cfg);
+  topo.host(2, 0)->StartPauseStorm(kDataPriority, Microseconds(20));
+  FlowSpec fs;
+  fs.flow_id = net.NextFlowId();
+  fs.src_host = topo.host(0, 0)->id();
+  fs.dst_host = topo.host(0, 1)->id();
+  fs.size_bytes = 4000 * kKB;  // ~0.8 ms at line rate: outlives the storm
+  net.StartFlow(fs);
+
+  hyb.Run(Microseconds(100));
+  const hybrid::HybridStats during = hyb.stats();
+  EXPECT_GT(during.probes, 0);
+  EXPECT_EQ(during.epochs, 0);
+  EXPECT_EQ(during.entry_rejects, during.probes);
+  EXPECT_EQ(during.rejects[static_cast<size_t>(RejectReason::kSwitchPfc)],
+            during.entry_rejects);
+
+  topo.host(2, 0)->StopPauseStorm(kDataPriority);
+  hyb.Run(Milliseconds(2));
+  const hybrid::HybridStats after = hyb.stats();
+  EXPECT_GE(after.epochs, 1);
+  EXPECT_EQ(std::accumulate(after.rejects.begin(), after.rejects.end(),
+                            int64_t{0}),
+            after.entry_rejects);
+}
+
 TEST(HybridEngine, MedianFctWithinFivePercentUnderLoad) {
   // ~5% offered load: enough concurrency that flows really collide (the
   // hybrid run must mix packet-mode congestion with fast-forwarded epochs).
@@ -220,6 +453,15 @@ TEST(HybridEngine, MedianFctWithinFivePercentUnderLoad) {
             hybrid[0].counters.at("wl_started"));
   // The fast path engaged at least once.
   EXPECT_GE(hybrid[0].counters.at("hybrid_epochs"), 1);
+  // Every rejected probe is attributed to exactly one reason.
+  int64_t reasons = 0;
+  for (size_t i = 0; i < hybrid::kNumRejectReasons; ++i) {
+    reasons += hybrid[0].counters.at(
+        std::string("hybrid_reject_") +
+        hybrid::RejectReasonName(static_cast<RejectReason>(i)));
+  }
+  EXPECT_EQ(reasons, hybrid[0].counters.at("hybrid_entry_rejects"));
+  EXPECT_EQ(packet[0].counters.count("hybrid_reject_loss"), 0u);
 
   const Summary& pf = packet[0].summaries.at("wl_fct_us");
   const Summary& hf = hybrid[0].summaries.at("wl_fct_us");
