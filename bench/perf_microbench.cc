@@ -206,6 +206,67 @@ void BM_NicTimerTick(benchmark::State& state) {
 }
 BENCHMARK(BM_NicTimerTick);
 
+void BM_TimerWheelDenseTick(benchmark::State& state) {
+  // Arg events packed into one L0 tick ahead of the cursor, scheduled in a
+  // fixed shuffled (time) order — the dense, out-of-order bucket a large
+  // synchronized fabric builds — then fired. An ordered-insert chain walks
+  // on each insert (O(Arg^2) per tick); append-then-sort-on-adoption pays
+  // O(Arg log Arg) once.
+  const int n = static_cast<int>(state.range(0));
+  std::vector<Time> offsets(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) offsets[static_cast<size_t>(i)] = i;
+  Rng rng(3);
+  for (size_t i = offsets.size(); i > 1; --i) {
+    std::swap(offsets[i - 1], offsets[static_cast<size_t>(rng.UniformInt(
+                                  0, static_cast<int64_t>(i) - 1))]);
+  }
+  EventQueue eq;
+  eq.Reserve(static_cast<size_t>(n) + 8);
+  int64_t fired = 0;
+  for (auto _ : state) {
+    // Two ticks past the cursor's tick: an L0 bucket ahead of the cursor.
+    const Time base =
+        ((eq.Now() >> TimerWheel::kTickBits) + 2) << TimerWheel::kTickBits;
+    for (Time off : offsets) eq.ScheduleAt(base + off, [&fired] { ++fired; });
+    eq.RunAll();
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_TimerWheelDenseTick)->Arg(256)->Arg(2048);
+
+void BM_NicManyQpArbitration(benchmark::State& state) {
+  // One NIC with 512 QPs, of which 8 greedy raw flows have data: the rest
+  // finished their 1 KB message during set-up and stay open, like idle
+  // connections on a busy host. Each send's round-robin scan then meets
+  // 8 QPs with data among 512. 50 simulated us per iteration; items are
+  // data packets sent.
+  constexpr int kQps = 512;
+  constexpr int kActive = 8;
+  Network net(1);
+  StarTopology topo = BuildStar(net, 2, TopologyOptions{});
+  RdmaNic* src = topo.hosts[0];
+  for (int i = 0; i < kQps; ++i) {
+    FlowSpec f;
+    f.flow_id = net.NextFlowId();
+    f.src_host = src->id();
+    f.dst_host = topo.hosts[1]->id();
+    // Active flows spread over the table (and both bitmap words' range).
+    f.size_bytes = i % (kQps / kActive) == kQps / kActive - 1 ? 0 : 1000;
+    f.mode = TransportMode::kRdmaRaw;
+    net.StartFlow(f);
+  }
+  net.RunFor(Microseconds(200));  // small flows complete
+  int64_t sent = 0;
+  for (auto _ : state) {
+    const int64_t before = src->counters().data_packets_sent;
+    net.RunFor(Microseconds(50));
+    sent += src->counters().data_packets_sent - before;
+  }
+  state.SetItemsProcessed(sent);
+}
+BENCHMARK(BM_NicManyQpArbitration);
+
 void BM_LargeClosThroughput(benchmark::State& state) {
   // The headline scale target: one simulated 300 us slice of a 32-ToR /
   // 512-host / 1024-flow Clos under cross-ToR incast + random traffic

@@ -49,6 +49,8 @@ SenderQp* RdmaNic::AddFlow(const FlowSpec& spec) {
                                        line_rate());
   SenderQp* raw = qp.get();
   raw->SetTracer(tracer_);
+  raw->set_nic_slot(static_cast<uint32_t>(qps_.size()));
+  if (qps_.size() % 64 == 0) unsent_.push_back(0);
   qps_.push_back(std::move(qp));
   qp_index_[fid] = raw;
   const Time delay = std::max<Time>(0, spec.start_time - eq_->Now());
@@ -206,12 +208,19 @@ void RdmaNic::RemoveFlow(int flow_id) {
     SenderQp* qp = qp_index_[fid];
     DCQCN_CHECK(qp->started() && qp->complete());
     qp_index_[fid] = nullptr;
-    for (size_t i = 0; i < qps_.size(); ++i) {
-      if (qps_[i].get() != qp) continue;
-      qps_[i] = std::move(qps_.back());
-      qps_.pop_back();
-      break;
+    // Swap-remove: the last QP takes over the slot, unsent bit included (a
+    // complete QP has no unsent data, so its own bit is already clear).
+    const uint32_t slot = qp->nic_slot();
+    const auto last = static_cast<uint32_t>(qps_.size() - 1);
+    DCQCN_DCHECK(qps_[slot].get() == qp && !QpUnsent(slot));
+    if (slot != last) {
+      qps_[slot] = std::move(qps_[last]);
+      qps_[slot]->set_nic_slot(slot);
+      SetQpUnsent(slot, QpUnsent(last));
+      SetQpUnsent(last, false);
     }
+    qps_.pop_back();
+    if (qps_.size() % 64 == 0) unsent_.pop_back();
   }
   // Receiver side: packed swap-erase with index fixup.
   if (flow_id >= 0 && fid < rcv_index_.size() && rcv_index_[fid] >= 0) {
@@ -229,6 +238,19 @@ void RdmaNic::RemoveFlow(int flow_id) {
 }
 
 void RdmaNic::OnTransmitComplete(int /*port*/) { TrySend(); }
+
+size_t RdmaNic::NextUnsent(size_t from, size_t end) const {
+  if (from >= end) return end;
+  size_t word = from >> 6;
+  uint64_t bits = unsent_[word] & (~uint64_t{0} << (from & 63));
+  const size_t last_word = (end - 1) >> 6;
+  while (bits == 0) {
+    if (++word > last_word) return end;
+    bits = unsent_[word];
+  }
+  const size_t idx = (word << 6) + static_cast<size_t>(__builtin_ctzll(bits));
+  return idx < end ? idx : end;
+}
 
 void RdmaNic::ScheduleWakeupAt(Time t) {
   if (wakeup_armed_ && wakeup_time_ <= t) return;
@@ -269,25 +291,32 @@ void RdmaNic::TrySend() {
   // packets keep getting ACKed above).
   if (tx_suspended_) return;
 
-  // Data: round robin over QPs that are eligible right now.
+  // Data: round robin over QPs that are eligible right now, starting at
+  // rr_next_ and wrapping once. Only QPs with unsent data are visited; every
+  // other QP would fail HasPacketReady() anyway, so the choice (and the
+  // wakeup time) is exactly that of a scan over every QP.
   const size_t n = qps_.size();
   Time earliest_future = std::numeric_limits<Time>::max();
-  size_t idx = rr_next_ < n ? rr_next_ : 0;
-  for (size_t i = 0; i < n; ++i, idx = idx + 1 == n ? 0 : idx + 1) {
-    SenderQp* qp = qps_[idx].get();
-    if (!qp->HasPacketReady()) continue;
-    if (TxPaused(qp->spec().priority)) continue;
-    const Time at = qp->EligibleAt();
-    if (at > now) {
-      earliest_future = std::min(earliest_future, at);
-      continue;
+  const size_t start = rr_next_ < n ? rr_next_ : 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    const size_t end = pass == 0 ? n : start;
+    for (size_t idx = NextUnsent(pass == 0 ? start : 0, end); idx < end;
+         idx = NextUnsent(idx + 1, end)) {
+      SenderQp* qp = qps_[idx].get();
+      if (!qp->HasPacketReady()) continue;
+      if (TxPaused(qp->spec().priority)) continue;
+      const Time at = qp->EligibleAt();
+      if (at > now) {
+        earliest_future = std::min(earliest_future, at);
+        continue;
+      }
+      const Packet p = qp->BuildNextPacket();
+      rr_next_ = idx + 1 == n ? 0 : idx + 1;
+      counters_.data_packets_sent++;
+      l->Transmit(this, p);
+      qp->OnPacketSent(now, p);
+      return;
     }
-    const Packet p = qp->BuildNextPacket();
-    rr_next_ = idx + 1 == n ? 0 : idx + 1;
-    counters_.data_packets_sent++;
-    l->Transmit(this, p);
-    qp->OnPacketSent(now, p);
-    return;
   }
   if (earliest_future != std::numeric_limits<Time>::max()) {
     ScheduleWakeupAt(earliest_future);

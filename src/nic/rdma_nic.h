@@ -17,6 +17,9 @@
 //   * Flow lookup is dense. Per-packet paths index flow-id-keyed vectors
 //     (sender QPs directly; receiver flows through a packed side array), not
 //     unordered_maps.
+//   * Data arbitration visits only QPs with unsent data. A bitmap over the
+//     QP table, kept by the QPs themselves, marks them; the round-robin scan
+//     walks its set bits, so a send costs O(QPs with data), not O(QPs).
 #pragma once
 
 #include <cstdint>
@@ -79,6 +82,12 @@ class RdmaNic : public Node {
 
   // --- called by SenderQp ---
   void OnQpActivated(SenderQp* qp);  // eligibility may have changed
+  // Marks whether the QP at `slot` of the QP table has unsent data.
+  void SetQpUnsent(uint32_t slot, bool unsent) {
+    const uint64_t bit = uint64_t{1} << (slot & 63);
+    uint64_t& word = unsent_[slot >> 6];
+    word = unsent ? word | bit : word & ~bit;
+  }
   void OnMessageComplete(SenderQp* qp, const FlowRecord& rec);
   EventQueue* eq() { return eq_; }
 
@@ -188,7 +197,18 @@ class RdmaNic : public Node {
     Time last_nak = 0;
   };
 
+  // Puts the next frame on an idle uplink: a pause-storm PFC frame, else
+  // control traffic, else one data packet. The data QP is chosen round
+  // robin from rr_next_ among the QPs whose unsent_ bit is set — the QPs
+  // skipped are exactly those HasPacketReady() would reject — so a send
+  // costs O(QPs with unsent data), not O(QPs). When every such QP is
+  // pacing-blocked, arms a wakeup at the earliest eligible time.
   void TrySend();
+  bool QpUnsent(size_t slot) const {
+    return (unsent_[slot >> 6] >> (slot & 63)) & 1;
+  }
+  // First QP-table slot in [from, end) with unsent data, or `end`.
+  size_t NextUnsent(size_t from, size_t end) const;
   void ScheduleWakeupAt(Time t);
   // Ensures a tick event exists at (or before) the head deadline.
   void ScheduleQpTick();
@@ -233,6 +253,10 @@ class RdmaNic : public Node {
   EventHandle qp_tick_;
   Time qp_tick_at_ = 0;
   std::vector<std::unique_ptr<SenderQp>> qps_;
+  // Bit i set = qps_[i] has unsent data (started, snd_next < send_limit).
+  // Window-blocked and pacing-blocked QPs keep their bit; TrySend checks
+  // those conditions for the QPs the bitmap yields.
+  std::vector<uint64_t> unsent_;
   // Dense flow tables, indexed by flow id (ids are small network-assigned
   // integers; AddFlow/RcvSlot assert the kMaxFlowId sanity bound). The
   // receiver side adds one packed-array indirection so an id costs 4 bytes,

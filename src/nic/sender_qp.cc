@@ -58,7 +58,10 @@ void SenderQp::EnqueueMessage(Bytes bytes) {
   m.start_time = std::max(eq_->Now(), spec_.start_time);
   messages_.push_back(m);
   send_limit_ = m.end_seq;
-  if (started_) nic_->OnQpActivated(this);
+  if (started_) {
+    SyncUnsent();
+    nic_->OnQpActivated(this);
+  }
 }
 
 void SenderQp::Start() {
@@ -66,6 +69,11 @@ void SenderQp::Start() {
   started_ = true;
   actual_start_ = eq_->Now();
   next_allowed_ = eq_->Now();
+  SyncUnsent();
+}
+
+void SenderQp::SyncUnsent() {
+  nic_->SetQpUnsent(nic_slot_, started_ && snd_next_ < send_limit_);
 }
 
 bool SenderQp::WindowAllows() const {
@@ -126,6 +134,7 @@ Packet SenderQp::BuildNextPacket() const {
 void SenderQp::OnPacketSent(Time now, const Packet& p) {
   DCQCN_CHECK(p.seq == snd_next_);
   ++snd_next_;
+  if (snd_next_ == send_limit_) SyncUnsent();
   snd_high_ = std::max(snd_high_, snd_next_);
   counters_.packets_sent++;
   counters_.bytes_sent += p.size_bytes;
@@ -176,6 +185,7 @@ void SenderQp::RewindForLoss(Time now) {
   snd_next_ = target;
   snd_una_ = std::min(snd_una_, target);
   next_allowed_ = std::max(next_allowed_, now);
+  SyncUnsent();
 }
 
 void SenderQp::OnAck(Time now, uint64_t cumulative_seq, bool ecn_echo,
@@ -246,6 +256,7 @@ void SenderQp::HybridAdvance(Time now, uint64_t upto_seq, Time next_allowed) {
   counters_.bytes_sent += bytes;
   snd_una_ = upto_seq;
   snd_next_ = upto_seq;
+  SyncUnsent();
   snd_high_ = std::max(snd_high_, snd_next_);
   next_allowed_ = next_allowed;
   ArmRetxTimer(now);  // snd_una == snd_next: retires the timer
@@ -269,6 +280,7 @@ void SenderQp::OnNak(Time now, uint64_t expected_seq) {
       snd_next_ = expected_seq;
       snd_una_ = std::min(snd_una_, expected_seq);
       next_allowed_ = std::max(next_allowed_, now);
+      SyncUnsent();
     } else {
       RewindForLoss(now);
     }

@@ -108,6 +108,10 @@ class SenderQp : public CcHost {
   Packet BuildNextPacket() const;
   // The NIC handed the packet to the wire at `now`.
   void OnPacketSent(Time now, const Packet& p);
+  // This QP's position in its NIC's QP table, which keys the NIC's
+  // unsent-data bitmap; the NIC keeps it current across swap-removes.
+  uint32_t nic_slot() const { return nic_slot_; }
+  void set_nic_slot(uint32_t slot) { nic_slot_ = slot; }
 
   // --- feedback from the network ---
   void OnAck(Time now, uint64_t cumulative_seq, bool ecn_echo,
@@ -178,6 +182,9 @@ class SenderQp : public CcHost {
   void RewindForLoss(Time now);
   // Pops and reports every leading message fully covered by snd_una_.
   void CompleteMessages(Time now);
+  // Publishes "has unsent data" (started and snd_next_ < send_limit_) to
+  // the NIC's arbitration bitmap; called wherever those fields change.
+  void SyncUnsent();
 
   // Jittered interval: base * (1 +/- frac), drawn per use from this QP's
   // private RNG (seeded by flow id, so runs replay deterministically).
@@ -194,6 +201,7 @@ class SenderQp : public CcHost {
 
   bool started_ = false;
   Time actual_start_ = 0;
+  uint32_t nic_slot_ = 0;
 
   // Outstanding messages in sequence order. For unbounded flows this holds
   // a single sentinel message that never completes.

@@ -9,9 +9,11 @@
 //    ~550 ms of the wheel cursor — O(1) per event, which is nearly every
 //    event a simulation schedules (serializations, propagations, DCQCN
 //    timers, retransmission timeouts). Its L0 level spans ~2.1 us, a whole
-//    fabric hop, so the common event is filed once into an L0 chain kept in
-//    fire order and fires from it: the L0 bucket under the cursor is the
-//    wheel's ready list in place;
+//    fabric hop, so the common event is appended once to an L0 chain and
+//    fires from it: the L0 bucket under the cursor is the wheel's ready list
+//    in place, put in fire order when the cursor adopts it if an insert
+//    arrived out of order. Insert cost does not grow with how many events
+//    share a tick;
 //  * a 4-ary min-heap of 32-byte entries for the rest: the rare far-future
 //    event, and events scheduled behind a wheel cursor that a
 //    NextEventTime() peek moved ahead of the clock. Heap entries never
@@ -180,6 +182,12 @@ class EventQueue {
   bool Empty() const { return live_ == 0; }
 
   size_t PendingEvents() const { return live_; }
+
+  // The wheel's ordering work so far (dirty-chain sorts, entries sorted,
+  // ready-insert walk steps): deterministic, like fire order.
+  const TimerWheel::Counters& wheel_counters() const {
+    return wheel_.counters();
+  }
 
   // Returned by NextEventTime() when no live events remain.
   static constexpr Time kNoEventTime = std::numeric_limits<Time>::max();

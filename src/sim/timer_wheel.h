@@ -18,30 +18,39 @@
 // decision with no re-dispatch cost; so does an event scheduled behind the
 // cursor (see Accepts).
 //
-// Ordered chains, ready list in place. Every bucket is an intrusive
-// doubly-linked chain of nodes indexed by the caller's slot id (one pending
-// event per slot, so a parallel node array is exact). L0 chains are kept
-// (time, key, seq)-ordered on insert — new events carry the largest
-// sequence so far, so most append at the tail. The L0 bucket under the
-// cursor *is* the ready list: advancing the cursor onto an occupied L0
-// bucket turns its chain into the ready chain without touching a node, and
-// entries at the cursor's tick are inserted into it in order. L1/L2 chains
-// are unordered; a cascade re-files their entries one level down (or into
-// L0/ready) when the cursor reaches their bucket.
+// Chains, ready list in place. Every bucket is an intrusive doubly-linked
+// chain of nodes indexed by the caller's slot id (one pending event per
+// slot, so a parallel node array is exact). Every insert ahead of the cursor
+// is a tail append, O(1) however dense the bucket: L1/L2 chains are
+// unordered, and an L0 chain is (time, key, seq)-ordered unless an insert
+// landed behind its tail, which sets the bucket's dirty bit. The L0 bucket
+// under the cursor *is* the ready list: advancing the cursor onto an
+// occupied L0 bucket turns its chain into the ready chain in place, first
+// putting a dirty chain in order (order-on-promote; see SortChain — a
+// nearly sorted chain costs O(k)). A cascade re-files its L1/L2 entries one
+// level down by tail appends too, those for the cursor's own tick included,
+// and sorts the ready chain once afterwards if that made it dirty. Entries
+// scheduled at the cursor's tick join the ready chain in order; one that
+// does not append at the tail walks in from both ends at once, so it pays
+// for the shorter side only, however long a run of equal-time entries is
+// on the other.
 // Cancel unlinks from any chain, ready included, in O(1), so the wheel holds
 // no tombstones. Per-level occupancy bitmaps plus a per-level cached
 // earliest bucket locate the next bucket; a level is rescanned only after
 // its cached bucket empties.
 //
-// Determinism: the wheel never reorders anything. The ready chain is sorted
-// by (time, key, seq), and the caller merges its front against its heap top
-// with the same comparison — so global fire order is exactly what the heap
-// alone would produce. Keys are 0 outside the sharded engine's canonical
-// mode (see sim/event_queue.h), where the comparison degenerates to the
-// historical (time, sequence) FIFO.
+// Determinism: whatever the insert order, the ready chain is in (time, key,
+// seq) order whenever its front is read, and the caller merges that front
+// against its heap top with the same comparison — so global fire order is
+// exactly what the heap alone would produce. Keys are 0 outside the sharded
+// engine's canonical mode (see sim/event_queue.h), where the comparison
+// degenerates to the historical (time, sequence) FIFO. counters() reports
+// the ordering work (dirty sorts, entries sorted, ready-insert walk steps);
+// like fire order, the counts are pure functions of the schedule.
 //
 // Allocation-free in steady state: the node array grows only with the
-// caller's slot array; buckets are fixed head/tail pairs.
+// caller's slot array; buckets are fixed head/tail pairs, and the sort
+// merges in place with a fixed-size run stack.
 #pragma once
 
 #include <cstdint>
@@ -67,6 +76,13 @@ class TimerWheel {
     uint64_t key;  // canonical tie-break key; 0 outside canonical mode
     uint64_t seq;
     uint32_t slot;
+  };
+
+  // Ordering work done so far; deterministic for a given schedule.
+  struct Counters {
+    uint64_t dirty_sorts = 0;       // dirty L0 chains sorted on adoption
+    uint64_t sorted_entries = 0;    // entries in those chains
+    uint64_t ready_walk_steps = 0;  // two-ended ready-insert walk steps
   };
 
   int64_t cur_tick() const { return cur_tick_; }
@@ -110,7 +126,11 @@ class TimerWheel {
     n.at = at;
     n.key = key;
     n.seq = seq;
-    File(slot);
+    if (TickOf(at) == cur_tick_) {
+      LinkReady(slot);
+    } else {
+      File(slot);
+    }
   }
 
   // O(1) unlink from whichever chain holds the entry (ready included);
@@ -123,6 +143,8 @@ class TimerWheel {
 
   // Entries held by the wheel: ready plus chained.
   size_t size() const { return size_; }
+
+  const Counters& counters() const { return counters_; }
 
   // Start time of the earliest occupied bucket ahead of the cursor,
   // preferring coarser levels on ties so cascades happen before a same-time
@@ -145,7 +167,8 @@ class TimerWheel {
 
   // One unit of wheel progress at the bucket NextChainedStart() just named:
   // either the cursor steps onto an L0 bucket, whose chain becomes the ready
-  // chain in place, or an L1/L2 bucket cascades one level down. Pre: the
+  // chain in place (sorted first if dirty), or an L1/L2 bucket cascades one
+  // level down. Pre: the
   // NextChainedStart() preconditions, and that call came last.
   void DrainOneStep() {
     DCQCN_DCHECK(ReadyEmpty());
@@ -154,8 +177,10 @@ class TimerWheel {
     DCQCN_DCHECK(pos >= 0 && pos != kLevelEmpty);
     if (level == 0) {
       cur_tick_ = pos;
-      ClearBit(0, static_cast<uint32_t>(pos) & kIndexMask);
+      const uint32_t index = static_cast<uint32_t>(pos) & kIndexMask;
+      ClearBit(0, index);
       first_[0] = kLevelDirty;
+      if (TestDirty(index)) SortChain(index);
     } else {
       Cascade(level, pos);
     }
@@ -166,6 +191,7 @@ class TimerWheel {
   bool ReadyEmpty() const { return ReadyChain().head == kNil; }
 
   Entry ReadyFront() const {
+    DCQCN_DCHECK(!TestDirty(static_cast<uint32_t>(cur_tick_) & kIndexMask));
     const uint32_t slot = ReadyChain().head;
     const Node& n = nodes_[slot];
     return Entry{n.at, n.key, n.seq, slot};
@@ -199,6 +225,9 @@ class TimerWheel {
   // first_[level] sentinels; real values are absolute bucket positions.
   static constexpr int64_t kLevelDirty = -1;
   static constexpr int64_t kLevelEmpty = std::numeric_limits<int64_t>::max();
+  // SortChain's run stack: bin i merges 2^i runs, and a chain holds fewer
+  // than 2^32 entries.
+  static constexpr int kMaxRunBins = 33;
 
   static bool Earlier(const Node& a, const Node& b) {
     if (a.at != b.at) return a.at < b.at;
@@ -213,9 +242,10 @@ class TimerWheel {
     return chains_[static_cast<uint32_t>(cur_tick_) & kIndexMask];
   }
 
-  // Routes a filled-in node by its tick relative to the cursor: on it into
-  // the ready chain, within L0's window into its L0 bucket (both ordered),
-  // else onto the tail of its L1/L2 bucket.
+  // Chains a filled-in node by its tick relative to the cursor: within L0's
+  // window (the cursor's own tick included) onto its L0 chain, marking the
+  // chain dirty when the node sorts before the tail, else onto its L1/L2
+  // chain. Always a tail append.
   void File(uint32_t slot) {
     const Node& n = nodes_[slot];
     const int64_t tick = TickOf(n.at);
@@ -225,7 +255,9 @@ class TimerWheel {
       // delta == kBucketsPerLevel would alias the ready bucket's index, so
       // L0 takes deltas 1..511 and the ready chain delta 0.
       const uint32_t index = static_cast<uint32_t>(tick) & kIndexMask;
-      LinkOrdered(index, slot);
+      const uint32_t tail = chains_[index].tail;
+      if (tail != kNil && Earlier(n, nodes_[tail])) SetDirty(index);
+      LinkTail(index, slot);
       if (delta > 0) Occupy(0, tick);
       return;
     }
@@ -244,23 +276,31 @@ class TimerWheel {
     Occupy(level, pos);
   }
 
-  // Inserts `slot` into L0 chain `b` after the last entry not later than it.
-  // The common case appends at the tail; otherwise the walk starts from
-  // whichever end is nearer in time.
-  void LinkOrdered(uint32_t b, uint32_t slot) {
+  // Inserts `slot` (at the cursor's tick) into the sorted ready chain after
+  // the last entry not later than it. A new entry carries the largest
+  // sequence so far, so it usually appends at the tail. Otherwise the walk
+  // goes in from both ends at once — forward past entries not later than
+  // it, back past entries later than it — and stops at whichever end meets
+  // the insert point first. Each step visits two nodes, and the walk is as
+  // long as the shorter side, so a long run of equal-time entries on one
+  // side costs only as much as the entries on the other.
+  void LinkReady(uint32_t slot) {
+    const uint32_t b = static_cast<uint32_t>(cur_tick_) & kIndexMask;
     Chain& c = chains_[b];
     Node& n = nodes_[slot];
     uint32_t after = c.tail;
     if (after != kNil && Earlier(n, nodes_[after])) {
-      if (n.at - nodes_[c.head].at < nodes_[after].at - n.at) {
-        // Forward to the first later entry; the tail is one, so this stops.
-        uint32_t before = c.head;
-        while (!Earlier(n, nodes_[before])) before = nodes_[before].next;
-        after = nodes_[before].prev;
-      } else {
-        do {
-          after = nodes_[after].prev;
-        } while (after != kNil && Earlier(n, nodes_[after]));
+      // The tail is later than n, so the forward end stops by the tail.
+      uint32_t fwd = c.head;
+      for (;;) {
+        if (Earlier(n, nodes_[fwd])) {
+          after = nodes_[fwd].prev;
+          break;
+        }
+        fwd = nodes_[fwd].next;
+        after = nodes_[after].prev;
+        ++counters_.ready_walk_steps;
+        if (after == kNil || !Earlier(n, nodes_[after])) break;
       }
     }
     n.prev = after;
@@ -311,6 +351,18 @@ class TimerWheel {
     return (bitmap_[level][index >> 6] >> (index & 63)) & 1;
   }
 
+  void SetDirty(uint32_t index) {
+    dirty_[index >> 6] |= uint64_t{1} << (index & 63);
+  }
+
+  void ClearDirty(uint32_t index) {
+    dirty_[index >> 6] &= ~(uint64_t{1} << (index & 63));
+  }
+
+  bool TestDirty(uint32_t index) const {
+    return (dirty_[index >> 6] >> (index & 63)) & 1;
+  }
+
   void Unlink(uint32_t slot) {
     Node& n = nodes_[slot];
     const uint32_t b = n.bucket;
@@ -333,6 +385,7 @@ class TimerWheel {
       const uint32_t index = b & kIndexMask;
       const int level = static_cast<int>(b >> kSlotBits);
       ClearBit(level, index);
+      if (level == 0) ClearDirty(index);
       // Buckets ahead of the cursor are unique per (level, index), so an
       // index match means the cached earliest bucket just emptied.
       if ((static_cast<uint64_t>(first_[level]) & kIndexMask) == index) {
@@ -375,7 +428,9 @@ class TimerWheel {
   // coarse position `pos` and re-files that bucket's entries by the new
   // window. A finer bucket starting at the same tick (the coarser-first
   // tie) now sits on the cursor: L0's becomes the ready chain in place and
-  // L1's is re-filed along with this one.
+  // L1's is re-filed along with this one. Entries re-filed onto the cursor's
+  // tick append to the ready chain, which is then sorted once if it is
+  // dirty — from before the cascade or from those appends.
   void Cascade(int level, int64_t pos) {
     const int64_t start = pos << (level * kSlotBits);
     DCQCN_DCHECK(start > cur_tick_);
@@ -392,6 +447,7 @@ class TimerWheel {
       }
     }
     Refile(level, pos);
+    if (TestDirty(index0)) SortChain(index0);
   }
 
   // Empties the level-`level` bucket at `pos` and files each entry anew.
@@ -415,6 +471,88 @@ class TimerWheel {
     }
   }
 
+  // Puts L0 chain `index` in (time, key, seq) order and clears its dirty
+  // bit: a natural merge sort. The chain is cut into maximal ascending runs
+  // (a descending run is reversed as it is cut), and runs merge by binary
+  // counter, so a chain of k entries in r runs costs O(k log r) — O(k) for
+  // the nearly sorted chains out-of-order inserts leave, O(k log k) at
+  // worst. Singly linked while sorting; prev links are rebuilt at the end.
+  void SortChain(uint32_t index) {
+    ClearDirty(index);
+    Chain& c = chains_[index];
+    // pending[i] holds the merge of 2^i runs, or kNil.
+    uint32_t pending[kMaxRunBins];
+    int bins = 0;
+    uint64_t count = 0;
+    uint32_t rest = c.head;
+    while (rest != kNil) {
+      uint32_t run = rest;
+      rest = nodes_[rest].next;
+      ++count;
+      if (rest != kNil && Earlier(nodes_[rest], nodes_[run])) {
+        nodes_[run].next = kNil;
+        while (rest != kNil && Earlier(nodes_[rest], nodes_[run])) {
+          const uint32_t next = nodes_[rest].next;
+          nodes_[rest].next = run;
+          run = rest;
+          rest = next;
+          ++count;
+        }
+      } else {
+        uint32_t last = run;
+        while (rest != kNil && !Earlier(nodes_[rest], nodes_[last])) {
+          last = rest;
+          rest = nodes_[rest].next;
+          ++count;
+        }
+        nodes_[last].next = kNil;
+      }
+      int i = 0;
+      for (; i < bins && pending[i] != kNil; ++i) {
+        run = Merge(pending[i], run);
+        pending[i] = kNil;
+      }
+      if (i == bins) {
+        DCQCN_DCHECK(bins < kMaxRunBins);
+        ++bins;
+      }
+      pending[i] = run;
+    }
+    uint32_t head = kNil;
+    for (int i = 0; i < bins; ++i) {
+      if (pending[i] == kNil) continue;
+      head = head == kNil ? pending[i] : Merge(pending[i], head);
+    }
+    uint32_t prev = kNil;
+    for (uint32_t s = head; s != kNil; s = nodes_[s].next) {
+      nodes_[s].prev = prev;
+      prev = s;
+    }
+    c.head = head;
+    c.tail = prev;
+    ++counters_.dirty_sorts;
+    counters_.sorted_entries += count;
+  }
+
+  // Merges two sorted, kNil-terminated singly linked lists.
+  uint32_t Merge(uint32_t a, uint32_t b) {
+    uint32_t head = kNil;
+    uint32_t* link = &head;
+    while (a != kNil && b != kNil) {
+      if (Earlier(nodes_[b], nodes_[a])) {
+        *link = b;
+        link = &nodes_[b].next;
+        b = *link;
+      } else {
+        *link = a;
+        link = &nodes_[a].next;
+        a = *link;
+      }
+    }
+    *link = a != kNil ? a : b;
+    return head;
+  }
+
   int64_t cur_tick_ = 0;
   size_t size_ = 0;
   // Per level: absolute position of the earliest occupied bucket, or
@@ -424,6 +562,8 @@ class TimerWheel {
   std::vector<Node> nodes_;  // indexed by the caller's slot id
   Chain chains_[kLevels * kBucketsPerLevel];  // all kNil on construction
   uint64_t bitmap_[kLevels][kWordsPerLevel] = {};
+  uint64_t dirty_[kWordsPerLevel] = {};  // L0 chains needing a sort
+  Counters counters_;
 };
 
 }  // namespace dcqcn

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "net/network.h"
 #include "net/topology.h"
 
@@ -367,6 +370,128 @@ TEST(Nic, CompletionCallbackFires) {
                      TransportMode::kRdmaRaw));
   net.RunFor(Milliseconds(1));
   EXPECT_EQ(completions, 1);
+}
+
+
+// A two-port wire tap between a NIC and its peer: forwards every frame,
+// folds each data frame arriving on port 0 — i.e. the sending NIC's
+// transmit order — into a fingerprint, and drops chosen data frames to
+// force loss recovery.
+class TapNode : public Node {
+ public:
+  TapNode() : Node(/*id=*/1000, /*num_ports=*/2) {}
+
+  uint64_t fingerprint = 0;
+  int64_t data_frames = 0;
+  int64_t dropped = 0;
+
+  void ReceivePacket(const Packet& p, int in_port) override {
+    if (in_port == 0 && p.type == PacketType::kData) {
+      fingerprint = MixEventKey(
+          fingerprint ^ (static_cast<uint64_t>(p.flow_id) << 32 | p.seq));
+      ++data_frames;
+      if (Drop(p)) {
+        ++dropped;
+        return;
+      }
+    }
+    const auto out = static_cast<size_t>(1 - in_port);
+    queued_[out].push_back(p);
+    OnTransmitComplete(static_cast<int>(out));
+  }
+
+  void OnTransmitComplete(int port) override {
+    std::vector<Packet>& q = queued_[static_cast<size_t>(port)];
+    Link* l = link(port);
+    if (q.empty() || l->Busy(this)) return;
+    l->Transmit(this, q.front());
+    q.erase(q.begin());
+  }
+
+ private:
+  // The first sighting of every seventh flow's last packet (the flow has
+  // drained: recovery needs a NAK from a later message or an RTO), plus
+  // every 41st data frame early on (NAKs mid-flow).
+  bool Drop(const Packet& p) {
+    const auto fid = static_cast<size_t>(p.flow_id);
+    if (tail_dropped_.size() <= fid) tail_dropped_.resize(fid + 1, false);
+    if (p.last_of_message && p.flow_id % 7 == 3 && !tail_dropped_[fid]) {
+      tail_dropped_[fid] = true;
+      return true;
+    }
+    return data_frames < 1500 && data_frames % 41 == 17;
+  }
+
+  std::vector<Packet> queued_[2];
+  std::vector<bool> tail_dropped_;
+};
+
+// Round-robin arbitration over 80 QPs on one NIC, so its ready set spans
+// two 64-bit words. Mixed sizes, modes and start times make flows finish out
+// of creation order; each completed flow is released, so swap-removes move
+// the last slot's QP into the hole. Tap drops force go-back-0 restarts,
+// go-back-N NAK rewinds (DCTCP) and RTO rewinds of QPs that had already
+// sent everything, and DCTCP windows close while data remains. Every flow
+// must complete, and the NIC's data transmit order must match the
+// fingerprint pinned from the linear-scan arbiter.
+TEST(Nic, ManyQpArbitrationKeepsTransmitOrder) {
+  NicConfig cfg;
+  cfg.rto = Microseconds(300);
+  // A two-packet initial window against a ~22 us RTT: DCTCP QPs stall on
+  // their window while they still have data and other QPs keep the wire.
+  cfg.dctcp.init_cwnd = 2 * kMtu;
+  Network net(11);
+  RdmaNic* src = net.AddHost(cfg);
+  RdmaNic* dst = net.AddHost(cfg);
+  TapNode tap;
+  Link up(&net.eq(), src, 0, &tap, 0, Gbps(40), Microseconds(1));
+  Link down(&net.eq(), &tap, 1, dst, 0, Gbps(40), Microseconds(10));
+
+  constexpr int kFlows = 80;
+  int completed = 0;
+  int64_t timeouts = 0;
+  int64_t naks = 0;
+  src->AddCompletionCallback([&](const FlowRecord& rec) {
+    ++completed;
+    const QpCounters& c = src->FindQp(rec.spec.flow_id)->counters();
+    timeouts += c.timeouts;
+    naks += c.naks_received;
+    net.ReleaseFlow(rec.spec);
+  });
+  std::vector<int> dctcp_ids;
+  for (int i = 0; i < kFlows; ++i) {
+    const TransportMode mode = i % 5 == 2   ? TransportMode::kDctcp
+                               : i % 2 == 0 ? TransportMode::kRdmaDcqcn
+                                            : TransportMode::kRdmaRaw;
+    const Bytes size = i % 9 == 0 ? 120 * 1000 : (1 + (i * 37) % 23) * 1100;
+    FlowSpec f = Flow(net, src, dst, size, mode, (i % 13) * Nanoseconds(700));
+    if (mode == TransportMode::kDctcp) dctcp_ids.push_back(f.flow_id);
+    net.StartFlow(f);
+  }
+
+  // Probe: some DCTCP QP is window-blocked while it still has unsent data.
+  bool window_closed_with_data = false;
+  std::function<void()> probe = [&] {
+    for (int id : dctcp_ids) {
+      const SenderQp* qp = src->FindQp(id);
+      if (qp != nullptr && qp->started() &&
+          qp->snd_next() < qp->send_limit() && !qp->HasPacketReady()) {
+        window_closed_with_data = true;
+      }
+    }
+    if (completed < kFlows) net.eq().ScheduleIn(Nanoseconds(500), probe);
+  };
+  net.eq().ScheduleIn(0, probe);
+
+  net.RunFor(Milliseconds(20));
+  EXPECT_EQ(completed, kFlows);
+  EXPECT_GT(tap.dropped, 0);
+  EXPECT_GT(timeouts, 0);
+  EXPECT_GT(naks, 0);
+  EXPECT_TRUE(window_closed_with_data);
+  // Pinned from the linear-scan arbiter (every QP probed on each send).
+  EXPECT_EQ(tap.data_frames, 2593);
+  EXPECT_EQ(tap.fingerprint, 18637797765709907u);
 }
 
 }  // namespace

@@ -8,7 +8,10 @@
 // pin the shapes random churn rarely builds: dense same-tick bursts, a
 // cascade landing on an occupied L0 bucket, cancels inside the ready chain,
 // the level and horizon edges, schedules behind a peeked cursor, and
-// canonical-key ties.
+// canonical-key ties. Dense-tick cases put thousands of entries in one tick
+// out of order, so its L0 chain must be sorted when the cursor adopts it —
+// directly, after L1/L2 cascades, and with cancels inside the dirty chain —
+// and pin the wheel's ordering-work counters exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -87,12 +90,10 @@ class ReferenceModel {
 // EventQueue::PrepareTop — here wheel-only, so there is no heap to merge.
 class WheelHarness {
  public:
-  static constexpr uint32_t kSlots = 512;
-
-  WheelHarness() {
-    wheel_.EnsureSlots(kSlots);
-    armed_.assign(kSlots, 0);
-    for (uint32_t s = kSlots; s-- > 0;) free_.push_back(s);
+  explicit WheelHarness(uint32_t slots = 512) {
+    wheel_.EnsureSlots(slots);
+    armed_.assign(slots, 0);
+    for (uint32_t s = slots; s-- > 0;) free_.push_back(s);
   }
 
   bool HasFreeSlot() const { return !free_.empty(); }
@@ -629,6 +630,210 @@ TEST(TimerWheelProperty, EventQueueChurnAcrossAllBandsMatchesReference) {
     EXPECT_TRUE(eq.Empty());
     EXPECT_EQ(fired, expected);
   }
+}
+
+
+// --- dense ticks: order-on-promote ---
+
+// The (time, key) pair of the i-th of `n` entries packed into `tick`, in
+// ascending order: pairs of entries share a picosecond and split on key.
+Time DenseAt(int64_t tick, int i) { return TickStart(tick) + i / 2; }
+uint64_t DenseKey(int i) { return static_cast<uint64_t>(i % 2); }
+
+// Insertion orders for a dense tick: descending (every insert lands behind
+// the tail) and a random shuffle.
+std::vector<int> DenseOrder(int n, bool descending, Rng& rng) {
+  std::vector<int> order(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) order[static_cast<size_t>(i)] = n - 1 - i;
+  if (!descending) {
+    for (size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[static_cast<size_t>(rng.UniformInt(
+                                  0, static_cast<int64_t>(i) - 1))]);
+    }
+  }
+  return order;
+}
+
+// 2,048 entries in one future L0 tick, inserted in descending and in random
+// (time, key) order, with neighbours in the ticks around it; the chain is
+// sorted once, when the cursor adopts it.
+TEST(TimerWheelDense, FutureL0TickInDescendingAndRandomOrder) {
+  constexpr int kDense = 2048;
+  for (bool descending : {true, false}) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(std::string(descending ? "descending" : "random") +
+                   " seed " + std::to_string(seed));
+      WheelHarness harness(kDense + 64);
+      ReferenceModel ref;
+      Rng rng(seed);
+      auto schedule = [&](Time at, uint64_t key) {
+        ref.Schedule(at, harness.Schedule(at, key), key);
+      };
+      const int64_t tick = 7;
+      schedule(TickStart(tick - 1) + 5, 0);
+      for (int i : DenseOrder(kDense, descending, rng)) {
+        schedule(DenseAt(tick, i), DenseKey(i));
+      }
+      schedule(TickStart(tick + 1), 0);
+      schedule(TickStart(tick), 1);  // ties the first dense entry's time
+      DrainAndCompare(harness, ref);
+      const TimerWheel::Counters& c = harness.wheel().counters();
+      EXPECT_EQ(c.dirty_sorts, 1u);
+      EXPECT_EQ(c.sorted_entries, static_cast<uint64_t>(kDense) + 1);
+      EXPECT_EQ(c.ready_walk_steps, 0u);
+    }
+  }
+}
+
+// Cascades onto a dirty L0 bucket. L1: entries for tick s = kBuckets were
+// filed in L1 bucket 1 while s lay beyond L0's window; once the cursor
+// moves, a dense descending run into s's own L0 bucket marks it dirty, and
+// the cascade appends the L1 entries to it as the new ready chain. L2: the
+// same with an L2 bucket, an L1 bucket and an L0 bucket all starting on s.
+TEST(TimerWheelDense, L1CascadeOntoDirtyL0Bucket) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    WheelHarness harness(2048);
+    ReferenceModel ref;
+    Rng rng(seed);
+    auto schedule = [&](Time at, uint64_t key) {
+      ref.Schedule(at, harness.Schedule(at, key), key);
+    };
+    const int64_t s = kBuckets;
+    for (int i : DenseOrder(600, /*descending=*/false, rng)) {
+      schedule(DenseAt(s, i), DenseKey(i));  // L1 bucket 1, unordered
+    }
+    schedule(TickStart(s + 9) + 1, 0);
+    schedule(TickStart(5), 0);
+    PopAndCompare(harness, ref, 1, 0);
+    ASSERT_EQ(harness.wheel().cur_tick(), 5);
+    for (int i : DenseOrder(600, /*descending=*/true, rng)) {
+      schedule(DenseAt(s, i) + 1, DenseKey(i));  // L0 bucket s, dirty
+    }
+    DrainAndCompare(harness, ref);
+    EXPECT_GE(harness.wheel().counters().dirty_sorts, 1u);
+  }
+}
+
+TEST(TimerWheelDense, L2CascadeOntoDirtyL1AndL0Buckets) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    WheelHarness harness(2048);
+    ReferenceModel ref;
+    Rng rng(seed);
+    auto schedule = [&](Time at, uint64_t key) {
+      ref.Schedule(at, harness.Schedule(at, key), key);
+    };
+    const int64_t l2_span = int64_t{1} << (2 * kSlotBits);
+    const int64_t s = 2 * l2_span;  // L2 bucket 2's first tick
+    for (int i : DenseOrder(400, /*descending=*/false, rng)) {
+      schedule(DenseAt(s, i), DenseKey(i));  // L2 bucket 2
+    }
+    schedule(TickStart(s + kBuckets + 3), 0);  // re-filed into L1
+    // Cursor into L2 bucket 1: tick s is now exactly kBuckets L1 buckets on.
+    schedule(TickStart(l2_span + 3), 0);
+    Time now = PopAndCompare(harness, ref, 1, 0);
+    ASSERT_EQ(harness.wheel().cur_tick(), l2_span + 3);
+    for (int i : DenseOrder(400, /*descending=*/true, rng)) {
+      schedule(DenseAt(s, i) + 1, DenseKey(i));  // L1 bucket of s
+    }
+    // Cursor to two ticks before s: tick s is an L0 delta.
+    schedule(TickStart(s - 2), 0);
+    now = PopAndCompare(harness, ref, 1, now);
+    ASSERT_EQ(harness.wheel().cur_tick(), s - 2);
+    for (int i : DenseOrder(400, /*descending=*/true, rng)) {
+      schedule(DenseAt(s, i) + 2, DenseKey(i));  // L0 bucket s, dirty
+    }
+    DrainAndCompare(harness, ref);
+    EXPECT_GE(harness.wheel().counters().dirty_sorts, 1u);
+  }
+}
+
+// Cancels inside dirty chains: the head, the tail and a random middle
+// share; a dirty bucket cancelled down to empty loses its dirty bit, so
+// refilling it in order sorts nothing.
+TEST(TimerWheelDense, CancelsInsideADirtyBucket) {
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    WheelHarness harness(1024);
+    ReferenceModel ref;
+    Rng rng(seed);
+    auto schedule = [&](Time at, uint64_t key) {
+      const uint64_t seq = harness.Schedule(at, key);
+      ref.Schedule(at, seq, key);
+      return seq;
+    };
+    auto cancel = [&](uint64_t seq) {
+      EXPECT_EQ(harness.Cancel(seq), ref.Cancel(seq));
+    };
+    // Bucket 9: dirty, then lose its chain head, tail and ~a third.
+    std::vector<uint64_t> dirty;
+    for (int i : DenseOrder(300, /*descending=*/false, rng)) {
+      dirty.push_back(schedule(DenseAt(9, i), DenseKey(i)));
+    }
+    cancel(dirty.front());  // chain head
+    cancel(dirty.back());   // chain tail
+    for (int i = 0; i < 100; ++i) {
+      cancel(dirty[static_cast<size_t>(rng.UniformInt(1, 298))]);
+    }
+    schedule(DenseAt(9, 5) + 1, 0);  // append after the cancels
+    // Bucket 12: dirty, then emptied, then refilled in order.
+    std::vector<uint64_t> emptied;
+    for (int i : DenseOrder(50, /*descending=*/true, rng)) {
+      emptied.push_back(schedule(DenseAt(12, i), DenseKey(i)));
+    }
+    for (uint64_t seq : emptied) cancel(seq);
+    for (int i = 0; i < 50; ++i) schedule(DenseAt(12, i), DenseKey(i));
+    DrainAndCompare(harness, ref);
+    EXPECT_EQ(harness.wheel().counters().dirty_sorts, 1u);
+  }
+}
+
+// Exact ordering-work counters through EventQueue on a constructed dense
+// tick. Eight entries land on tick 3 newest-first (dirty), three on tick 600
+// from behind the L1 horizon (re-filed newest-first by a cascade: dirty),
+// and two on tick 6 in order (clean). Ready inserts then walk in from both
+// ends and pay for the shorter side: nothing for an insert at the head or
+// one tying the tail's time, and only two steps to pass a run of
+// equal-time entries near the head when the insert point is near the tail.
+TEST(TimerWheelDense, CountersOnAConstructedDenseTick) {
+  EventQueue eq;
+  std::vector<int> fired;
+  auto schedule = [&](Time at, int id) {
+    eq.ScheduleAt(at, [&fired, id] { fired.push_back(id); });
+  };
+  auto walk_steps = [&eq] { return eq.wheel_counters().ready_walk_steps; };
+  const Time t3 = TickStart(3);
+  for (int i = 0; i < 8; ++i) schedule(t3 + 10 * (8 - i), 80 - 10 * i);
+  for (int i = 0; i < 3; ++i) schedule(TickStart(600) + 3 - i, 603 - i);
+  schedule(TickStart(6), 6000);
+  schedule(TickStart(6) + 1, 6001);
+  EXPECT_EQ(eq.wheel_counters().dirty_sorts, 0u);
+
+  ASSERT_TRUE(eq.RunOne());  // adopts tick 3: one sort of 8
+  EXPECT_EQ(eq.Now(), t3 + 10);
+  EXPECT_EQ(eq.wheel_counters().dirty_sorts, 1u);
+  EXPECT_EQ(eq.wheel_counters().sorted_entries, 8u);
+  // Ready chain: 20 30 40 50 60 70 80.
+  schedule(t3 + 10, 11);  // before the head: found at once
+  EXPECT_EQ(walk_steps(), 0u);
+  schedule(t3 + 80, 81);  // ties the tail's time: appends
+  EXPECT_EQ(walk_steps(), 0u);
+  schedule(t3 + 55, 55);  // 11 20 30 40 | 50 60 70 80 81: four steps
+  EXPECT_EQ(walk_steps(), 4u);
+  for (int id : {12, 13, 14}) schedule(t3 + 10, id);  // 1 + 2 + 3 steps
+  EXPECT_EQ(walk_steps(), 10u);
+  schedule(t3 + 79, 79);  // past the run of four at +10: two steps
+  EXPECT_EQ(walk_steps(), 12u);
+
+  eq.RunAll();
+  EXPECT_EQ(fired,
+            (std::vector<int>{10, 11, 12, 13, 14, 20, 30, 40, 50, 55, 60, 70,
+                              79, 80, 81, 6000, 6001, 601, 602, 603}));
+  const TimerWheel::Counters& c = eq.wheel_counters();
+  EXPECT_EQ(c.dirty_sorts, 2u);
+  EXPECT_EQ(c.sorted_entries, 11u);
+  EXPECT_EQ(c.ready_walk_steps, 12u);
 }
 
 }  // namespace

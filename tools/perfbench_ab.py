@@ -7,9 +7,12 @@ Usage, from the repository root:
         --pairs 10 --seconds 10 [--workloads fabric,sparse] [--trace 1]
 
 Each side is a git revision, or "." for the working tree as it is. A
-revision is exported with `git archive` into its own checkout under
---workdir, and each side builds perfbench into its own CARGO_TARGET_DIR, so
-the two never share a build. The tool then runs --pairs alternating pairs
+revision is exported with `git archive` into a checkout under --workdir,
+and builds perfbench into a CARGO_TARGET_DIR; both are named after the
+revision's commit SHA (the working tree's build dir is `target-worktree`).
+perfbench/run.py configures a build dir only once, so a dir named after its
+side ("base", "change") would quietly keep building whatever checkout it
+was first configured against. The tool then runs --pairs alternating pairs
 per workload (base first on even pairs, change first on odd ones, to cancel
 slow machine drift), each pair on a fresh seed (--seed-base + pair index;
 the default base is drawn from the clock and printed, so seeds used while
@@ -44,14 +47,15 @@ def log(msg):
     print(msg, file=sys.stderr, flush=True)
 
 
-def checkout(rev, workdir, name):
-    """Returns a directory holding `rev`'s files ("." = the working tree)."""
+def checkout(rev, workdir):
+    """Returns (directory holding `rev`'s files, build key): the commit SHA,
+    or "worktree" for "." (the working tree itself)."""
     if rev == ".":
-        return ROOT
+        return ROOT, "worktree"
     sha = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify",
                           rev + "^{commit}"], check=True, text=True,
                          stdout=subprocess.PIPE).stdout.strip()
-    path = os.path.join(workdir, name + "-" + sha[:12])
+    path = os.path.join(workdir, "src-" + sha)
     if not os.path.isdir(path):
         tmp = path + ".tmp"
         shutil.rmtree(tmp, ignore_errors=True)
@@ -63,7 +67,7 @@ def checkout(rev, workdir, name):
         if archive.wait() != 0:
             sys.exit("perfbench_ab: git archive %s failed" % rev)
         os.rename(tmp, path)
-    return path
+    return path, sha
 
 
 def run_once(side, workload, seed, seconds, trace):
@@ -166,12 +170,14 @@ def main():
     os.makedirs(args.workdir, exist_ok=True)
     sides = {}
     for name, rev in (("base", args.base), ("change", args.change)):
+        path, key = checkout(rev, args.workdir)
         sides[name] = {
             "name": name,
-            "dir": checkout(rev, args.workdir, name),
-            "target": os.path.join(args.workdir, "target-" + name),
+            "dir": path,
+            "target": os.path.join(args.workdir, "target-" + key),
         }
-        log("perfbench_ab: building %s (%s)" % (name, rev))
+        log("perfbench_ab: building %s (%s) in %s" %
+            (name, rev, sides[name]["target"]))
         run_once(sides[name], workloads[0], 0, 1, 0)  # builds, then runs 1 s
 
     raw = {}
