@@ -267,6 +267,29 @@ void BM_NicManyQpArbitration(benchmark::State& state) {
 }
 BENCHMARK(BM_NicManyQpArbitration);
 
+void BM_BuildClos(benchmark::State& state) {
+  // Topology set-up alone: build (and tear down) the paper's 20-host Clos
+  // or bench/ext_scale's 512-host one, routes included — the fixed cost
+  // every trial on that topology pays before its first event.
+  ClosShape shape;  // paper testbed: 4 ToRs x 5 hosts
+  shape.hosts_per_tor = 5;
+  if (state.range(0) == 512) {
+    shape.pods = 8;
+    shape.tors_per_pod = 4;
+    shape.leaves_per_pod = 4;
+    shape.spines = 8;
+    shape.hosts_per_tor = 16;
+  }
+  DCQCN_CHECK(shape.num_tors() * shape.hosts_per_tor == state.range(0));
+  for (auto _ : state) {
+    Network net(1);
+    const ClosTopology topo = BuildClos(net, shape, TopologyOptions{});
+    benchmark::DoNotOptimize(topo.spines.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_BuildClos)->Arg(20)->Arg(512)->Unit(benchmark::kMicrosecond);
+
 void BM_LargeClosThroughput(benchmark::State& state) {
   // The headline scale target: one simulated 300 us slice of a 32-ToR /
   // 512-host / 1024-flow Clos under cross-ToR incast + random traffic

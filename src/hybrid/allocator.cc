@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 
 #include "common/check.h"
 
@@ -9,11 +10,23 @@ namespace dcqcn::hybrid {
 
 AllocResult MaxMinAllocate(const std::vector<AllocDemand>& demands,
                            const std::vector<Rate>& link_capacity) {
+  AllocScratch scratch;
+  AllocResult out;
+  MaxMinAllocate(demands.data(), demands.size(), link_capacity, &scratch,
+                 &out);
+  return out;
+}
+
+void MaxMinAllocate(const AllocDemand* demand_list, size_t count,
+                    const std::vector<Rate>& link_capacity,
+                    AllocScratch* scratch, AllocResult* result) {
+  const std::span<const AllocDemand> demands(demand_list, count);
   const size_t nf = demands.size();
   const size_t nl = link_capacity.size();
-  AllocResult out;
+  AllocResult& out = *result;
   out.rate.assign(nf, 0.0);
-  if (nf == 0) return out;
+  out.rounds = 0;
+  if (nf == 0) return;
 
   // Compact the links some demand crosses to local indices [0, nt): every
   // per-link step below visits only those, so a call costs O(hops), not
@@ -24,8 +37,8 @@ AllocResult MaxMinAllocate(const std::vector<AllocDemand>& demands,
     DCQCN_CHECK(d.cap > 0);
     hops += d.links.size();
   }
-  std::vector<int32_t> touched;  // global link index of each local index
-  touched.reserve(hops);
+  std::vector<int32_t>& touched = scratch->touched;
+  touched.clear();
   for (const AllocDemand& d : demands) {
     for (int32_t l : d.links) {
       DCQCN_CHECK(l >= 0 && static_cast<size_t>(l) < nl);
@@ -37,8 +50,10 @@ AllocResult MaxMinAllocate(const std::vector<AllocDemand>& demands,
   const size_t nt = touched.size();
 
   // Demand f's links, as local indices, are path[off[f], off[f + 1]).
-  std::vector<int32_t> path(hops);
-  std::vector<size_t> off(nf + 1, 0);
+  std::vector<int32_t>& path = scratch->path;
+  std::vector<size_t>& off = scratch->off;
+  path.resize(hops);
+  off.assign(nf + 1, 0);
   for (size_t f = 0, k = 0; f < nf; ++f) {
     for (int32_t l : demands[f].links) {
       path[k++] = static_cast<int32_t>(
@@ -52,16 +67,20 @@ AllocResult MaxMinAllocate(const std::vector<AllocDemand>& demands,
   // doubles, so "remaining == 0" needs slack after repeated subtraction.
   constexpr double kRelTol = 1e-9;
 
-  std::vector<Rate> remaining(nt);
-  std::vector<Rate> saturated(nt);     // remaining at or below = saturated
-  std::vector<int32_t> active(nt, 0);  // unfrozen flows crossing each link
+  std::vector<Rate>& remaining = scratch->remaining;
+  std::vector<Rate>& saturated = scratch->saturated;  // at or below = full
+  std::vector<int32_t>& active = scratch->active;  // unfrozen flows per link
+  remaining.resize(nt);
+  saturated.resize(nt);
+  active.assign(nt, 0);
   for (size_t t = 0; t < nt; ++t) {
     const Rate cap = link_capacity[static_cast<size_t>(touched[t])];
     remaining[t] = cap;
     saturated[t] = kRelTol * cap;
   }
   for (int32_t t : path) ++active[static_cast<size_t>(t)];
-  std::vector<char> frozen(nf, 0);
+  std::vector<char>& frozen = scratch->frozen;
+  frozen.assign(nf, 0);
   size_t unfrozen = nf;
 
   while (unfrozen > 0) {
@@ -109,7 +128,6 @@ AllocResult MaxMinAllocate(const std::vector<AllocDemand>& demands,
     // freeze everything at the current level rather than loop forever.
     if (froze == 0) break;
   }
-  return out;
 }
 
 }  // namespace dcqcn::hybrid

@@ -46,7 +46,25 @@ struct AllocResult {
   int rounds = 0;          // filling rounds until fixed point
 };
 
+// Working storage of one MaxMinAllocate call. A caller that keeps one
+// across calls (with its AllocResult) allocates nothing once both are warm.
+struct AllocScratch {
+  std::vector<int32_t> touched;  // global link index of each local index
+  std::vector<int32_t> path;     // demands' links as local indices
+  std::vector<size_t> off;       // demand f's links: path[off[f], off[f+1])
+  std::vector<Rate> remaining;
+  std::vector<Rate> saturated;
+  std::vector<int32_t> active;
+  std::vector<char> frozen;
+};
+
 AllocResult MaxMinAllocate(const std::vector<AllocDemand>& demands,
                            const std::vector<Rate>& link_capacity);
+// The same over the first `count` entries of `demands`, written into *out
+// and computed in *scratch, so a caller can reuse one demand list (with its
+// link buffers), one scratch and one result across calls.
+void MaxMinAllocate(const AllocDemand* demands, size_t count,
+                    const std::vector<Rate>& link_capacity,
+                    AllocScratch* scratch, AllocResult* out);
 
 }  // namespace dcqcn::hybrid

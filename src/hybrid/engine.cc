@@ -273,15 +273,24 @@ bool HybridEngine::ModelFlow(SenderQp* qp) {
 }
 
 bool HybridEngine::AllocationFeasible(const FfFlow* candidate) const {
-  std::vector<AllocDemand> demands;
-  demands.reserve(ff_flows_.size() + 1);
-  for (const FfFlow& f : ff_flows_)
-    demands.push_back(AllocDemand{f.reff, f.link_idx});
-  if (candidate != nullptr)
-    demands.push_back(AllocDemand{candidate->reff, candidate->link_idx});
-  const AllocResult res = MaxMinAllocate(demands, link_capacity_);
-  for (size_t i = 0; i < demands.size(); ++i) {
-    if (res.rate[i] < demands[i].cap * (1.0 - cfg_.eps)) return false;
+  // The demand list only grows, assign() reuses each entry's link buffer,
+  // and the allocator reuses its scratch and result: a warm call allocates
+  // nothing.
+  const size_t n = ff_flows_.size() + (candidate != nullptr ? 1 : 0);
+  if (demand_scratch_.size() < n) demand_scratch_.resize(n);
+  auto fill = [this](size_t i, const FfFlow& f) {
+    AllocDemand& d = demand_scratch_[i];
+    d.cap = f.reff;
+    d.links.assign(f.link_idx.begin(), f.link_idx.end());
+  };
+  for (size_t i = 0; i < ff_flows_.size(); ++i) fill(i, ff_flows_[i]);
+  if (candidate != nullptr) fill(n - 1, *candidate);
+  MaxMinAllocate(demand_scratch_.data(), n, link_capacity_, &alloc_scratch_,
+                 &alloc_result_);
+  for (size_t i = 0; i < n; ++i) {
+    if (alloc_result_.rate[i] < demand_scratch_[i].cap * (1.0 - cfg_.eps)) {
+      return false;
+    }
   }
   return true;
 }
@@ -298,8 +307,10 @@ void HybridEngine::StepFlowMode(Time deadline) {
   for (const FfFlow& f : ff_flows_) {
     if (f.comp < t) t = f.comp;
   }
-  const Time ev = eq.NextEventTime();
-  if (ev != EventQueue::kNoEventTime && ev < t) t = ev;
+  // Bounded by t: the wheel cursor then stays at or behind the clock this
+  // step runs to, so events scheduled after it file into the wheel.
+  const Time ev = eq.NextEventTime(t);
+  if (ev < t) t = ev;
 
   executed_ += net_->Run(t);
   const Time now = eq.Now();

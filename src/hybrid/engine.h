@@ -215,6 +215,11 @@ class HybridEngine {
   // ModelFlow's reusable forward/reverse path buffers.
   std::vector<Link*> path_;
   std::vector<Link*> rpath_;
+  // AllocationFeasible's reusable demand list (entries past the current
+  // call's count are stale), allocator working storage and result.
+  mutable std::vector<AllocDemand> demand_scratch_;
+  mutable AllocScratch alloc_scratch_;
+  mutable AllocResult alloc_result_;
 
   // Registered flows: everything StartFlow announced that the lazy sweep
   // has not yet retired. reg_pos_: flow id -> index (-1 = absent).

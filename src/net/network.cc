@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <barrier>
-#include <deque>
 #include <limits>
 #include <thread>
 #include <utility>
@@ -172,35 +171,61 @@ Link* Network::Connect(Node* a, int port_a, Node* b, int port_b, Rate rate,
 
 void Network::BuildRoutes() {
   constexpr int kInf = std::numeric_limits<int>::max();
-  // BFS from each host; each switch keeps every port whose peer is one hop
-  // closer to the host — the equal-cost set ECMP hashes over.
+  // One BFS per switch with hosts attached, not one per host. A NIC has
+  // one port, so a host is a leaf: no shortest path passes through it, and
+  // for every node other than the host itself, distance to the host =
+  // distance to its switch + 1. Hence one BFS from the attachment switch
+  // serves all of its hosts: any other switch's equal-cost set toward a
+  // host is its set toward that switch, and the attachment switch routes
+  // the host on the port that reaches it. A host attached to no switch
+  // (unwired, or wired to another host) is reachable from no switch and
+  // gets no routes. The BFS buffers are reused across switches.
   for (const auto& nic : nics_) {
-    std::vector<int> dist(nodes_.size(), kInf);
-    std::deque<Node*> frontier;
-    dist[static_cast<size_t>(nic->id())] = 0;
-    frontier.push_back(nic.get());
-    while (!frontier.empty()) {
-      Node* cur = frontier.front();
-      frontier.pop_front();
-      const int d = dist[static_cast<size_t>(cur->id())];
-      for (const Adjacency& a : adj_[static_cast<size_t>(cur->id())]) {
+    DCQCN_CHECK(adj_[static_cast<size_t>(nic->id())].size() <= 1);
+  }
+  std::vector<int> dist(nodes_.size());
+  std::vector<int> frontier(nodes_.size());
+  std::vector<int> ports;
+  std::vector<const Adjacency*> hosts;  // attach's adjacencies to hosts
+  for (const auto& attach : switches_) {
+    hosts.clear();
+    for (const Adjacency& a : adj_[static_cast<size_t>(attach->id())]) {
+      if (host(a.peer->id()) != nullptr) hosts.push_back(&a);
+    }
+    if (hosts.empty()) continue;
+    std::fill(dist.begin(), dist.end(), kInf);
+    dist[static_cast<size_t>(attach->id())] = 0;
+    frontier[0] = attach->id();
+    for (size_t head = 0, tail = 1; head < tail; ++head) {
+      const int cur = frontier[head];
+      const int d = dist[static_cast<size_t>(cur)];
+      for (const Adjacency& a : adj_[static_cast<size_t>(cur)]) {
         auto& pd = dist[static_cast<size_t>(a.peer->id())];
         if (pd == kInf) {
           pd = d + 1;
-          frontier.push_back(a.peer);
+          frontier[tail++] = a.peer->id();
         }
       }
     }
+    // Each switch keeps every port whose peer is one hop closer — the
+    // equal-cost set ECMP hashes over.
     for (const auto& sw : switches_) {
+      if (sw == attach) {
+        for (const Adjacency* h : hosts) {
+          ports.assign(1, h->local_port);
+          sw->SetRoute(h->peer->id(), ports);
+        }
+        continue;
+      }
       const int d = dist[static_cast<size_t>(sw->id())];
       if (d == kInf) continue;  // unreachable
-      std::vector<int> ports;
+      ports.clear();
       for (const Adjacency& a : adj_[static_cast<size_t>(sw->id())]) {
         if (dist[static_cast<size_t>(a.peer->id())] == d - 1) {
           ports.push_back(a.local_port);
         }
       }
-      if (!ports.empty()) sw->SetRoute(nic->id(), std::move(ports));
+      for (const Adjacency* h : hosts) sw->SetRoute(h->peer->id(), ports);
     }
   }
 }

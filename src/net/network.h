@@ -77,7 +77,9 @@ class Network {
                 Time propagation);
 
   // Computes shortest-path routes from every switch toward every host, with
-  // all equal-cost next hops retained for ECMP. Call after wiring.
+  // all equal-cost next hops retained for ECMP. Call after wiring. Runs one
+  // BFS per switch that has hosts attached (hosts are single-port leaves,
+  // so a host's routes are its switch's routes; see network.cc).
   void BuildRoutes();
 
   // Registers a flow on its source NIC. Assigns a flow id if spec.flow_id

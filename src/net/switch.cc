@@ -61,22 +61,32 @@ void SharedBufferSwitch::SetSharedBufferOverride(Bytes bytes) {
   CheckResumeAll();
 }
 
-void SharedBufferSwitch::SetRoute(int dst_host, std::vector<int> ports) {
+void SharedBufferSwitch::SetRoute(int dst_host,
+                                  const std::vector<int>& ports) {
   DCQCN_CHECK(dst_host >= 0);
   DCQCN_CHECK(!ports.empty());
-  for (int p : ports) DCQCN_CHECK(p >= 0 && p < num_ports());
-  if (static_cast<size_t>(dst_host) >= routes_.size()) {
-    routes_.resize(static_cast<size_t>(dst_host) + 1);
+  if (last_group_ == kNoRoute || route_groups_[last_group_] != ports) {
+    const size_t g = static_cast<size_t>(
+        std::find(route_groups_.begin(), route_groups_.end(), ports) -
+        route_groups_.begin());
+    if (g == route_groups_.size()) {
+      for (int p : ports) DCQCN_CHECK(p >= 0 && p < num_ports());
+      DCQCN_CHECK(g < kNoRoute);
+      route_groups_.push_back(ports);
+    }
+    last_group_ = static_cast<uint16_t>(g);
   }
-  routes_[static_cast<size_t>(dst_host)] = std::move(ports);
+  const auto dst = static_cast<size_t>(dst_host);
+  if (dst >= route_group_.size()) route_group_.resize(dst + 1, kNoRoute);
+  route_group_[dst] = last_group_;
 }
 
 const std::vector<int>& SharedBufferSwitch::RouteTo(int dst_host) const {
   DCQCN_CHECK(dst_host >= 0 &&
-              static_cast<size_t>(dst_host) < routes_.size());
-  const auto& r = routes_[static_cast<size_t>(dst_host)];
-  DCQCN_CHECK(!r.empty());
-  return r;
+              static_cast<size_t>(dst_host) < route_group_.size());
+  const uint16_t g = route_group_[static_cast<size_t>(dst_host)];
+  DCQCN_CHECK(g != kNoRoute);
+  return route_groups_[g];
 }
 
 Bytes SharedBufferSwitch::CurrentPfcThreshold() const {

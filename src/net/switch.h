@@ -124,9 +124,20 @@ class SharedBufferSwitch : public Node {
                      SwitchConfig config, QueuePool* pool = nullptr);
 
   // Routing: equal-cost output ports toward a destination host. ECMP picks
-  // among them by hashing the flow's key with this switch's id.
-  void SetRoute(int dst_host, std::vector<int> ports);
+  // among them by hashing the flow's key with this switch's id. Every host
+  // behind one next hop shares its port set, so a destination stores only a
+  // 16-bit id into a small table of distinct sets, interned here by
+  // comparison (the last-used set first, which is what a host-by-host
+  // build hits). RouteTo returns the interned set.
+  void SetRoute(int dst_host, const std::vector<int>& ports);
   const std::vector<int>& RouteTo(int dst_host) const;
+  bool HasRouteTo(int dst_host) const {
+    return dst_host >= 0 &&
+           static_cast<size_t>(dst_host) < route_group_.size() &&
+           route_group_[static_cast<size_t>(dst_host)] != kNoRoute;
+  }
+  // Distinct port sets interned so far (overridden ones included).
+  size_t route_group_count() const { return route_groups_.size(); }
 
   // The output port ECMP would pick for a flow with this key (exposed so
   // experiments can pre-compute path collisions, e.g. the Fig. 20 parking
@@ -272,7 +283,10 @@ class SharedBufferSwitch : public Node {
   std::vector<InFlightRelease> in_flight_;
 
   Bytes shared_used_ = 0;
-  std::vector<std::vector<int>> routes_;  // dst host -> out ports
+  static constexpr uint16_t kNoRoute = 0xffff;
+  std::vector<uint16_t> route_group_;             // dst host -> group id
+  std::vector<std::vector<int>> route_groups_;    // distinct port sets
+  uint16_t last_group_ = kNoRoute;                // SetRoute's last hit
   SwitchCounters counters_;
   telemetry::EventTracer* tracer_ = nullptr;
 };

@@ -15,9 +15,12 @@
 //    arrived out of order. Insert cost does not grow with how many events
 //    share a tick;
 //  * a 4-ary min-heap of 32-byte entries for the rest: the rare far-future
-//    event, and events scheduled behind a wheel cursor that a
+//    event, and events scheduled behind a wheel cursor that an unbounded
 //    NextEventTime() peek moved ahead of the clock. Heap entries never
-//    migrate to the wheel.
+//    migrate to the wheel. RunUntil(deadline) and NextEventTime(limit)
+//    advance the wheel only onto buckets starting by their bound, so a
+//    caller that runs to the bound never leaves the cursor ahead of its
+//    clock; heap_counters() counts the fallbacks by reason.
 //
 // PrepareTop merges the ready front with the heap top using the same
 // comparison the heap alone used, so the global fire order — and with it
@@ -149,7 +152,7 @@ class EventQueue {
     if (wheel_.Accepts(at)) {
       wheel_.Insert(slot, at, key, seq);
     } else {
-      HeapPush(HeapEntry{at, key, seq, slot});
+      HeapFallback(HeapEntry{at, key, seq, slot});
     }
     ++live_;
     return EventHandle{slot, seq};
@@ -189,23 +192,42 @@ class EventQueue {
     return wheel_.counters();
   }
 
+  // Events filed in the heap instead of the wheel, by reason: scheduled
+  // behind the wheel cursor (only possible after an unbounded
+  // NextEventTime() peek) or beyond the wheel's ~550 ms horizon. Also
+  // deterministic.
+  struct HeapCounters {
+    uint64_t behind_cursor = 0;
+    uint64_t beyond_horizon = 0;
+  };
+  const HeapCounters& heap_counters() const { return heap_counters_; }
+
   // Returned by NextEventTime() when no live events remain.
   static constexpr Time kNoEventTime = std::numeric_limits<Time>::max();
 
   // Timestamp of the earliest live event without firing it, or kNoEventTime
   // when the queue is drained. Prunes cancelled heap tops and advances the
-  // wheel (same path RunOne takes), so the answer is exact. The hybrid
-  // fast-forward controller uses this to bound analytic epochs by the next
-  // scheduled packet-level event (workload arrival timers, fault
-  // transitions, probes).
-  Time NextEventTime() {
-    switch (PrepareTop()) {
+  // wheel (same path RunOne takes), so the answer is exact — up to `limit`:
+  // when no event is due at or before `limit`, the result is some time
+  // after `limit` (a lower bound on the next event), and the wheel cursor
+  // has not moved past `limit`'s tick. A caller that then runs to `limit`
+  // or earlier keeps the cursor at or behind its clock, so what it
+  // schedules next files into the wheel. Unbounded (the default), the peek
+  // may leave the cursor ahead of the clock on the next event's bucket;
+  // events scheduled behind it then merge through the heap. The hybrid
+  // fast-forward controller uses this, bounded by its epoch end, to stop
+  // analytic epochs at the next scheduled packet-level event (workload
+  // arrival timers, fault transitions, probes).
+  Time NextEventTime(Time limit = kNoEventTime) {
+    switch (PrepareTop(limit)) {
       case TopSrc::kNone:
         return kNoEventTime;
       case TopSrc::kHeap:
         return heap_[0].at;
       case TopSrc::kReady:
         return wheel_.ReadyFront().at;
+      case TopSrc::kLater:
+        return wheel_.NextChainedStart();
     }
     return kNoEventTime;
   }
@@ -215,6 +237,7 @@ class EventQueue {
     DCQCN_DCHECK(DebugAffinityOk());
     switch (PrepareTop()) {
       case TopSrc::kNone:
+      case TopSrc::kLater:  // only under a bound
         return false;
       case TopSrc::kHeap:
         FireTop();
@@ -229,13 +252,15 @@ class EventQueue {
   // Runs events until the queue drains or the next live event lies beyond
   // `deadline`. Events at exactly `deadline` do run. Returns the number of
   // events executed; afterwards Now() >= deadline unless the queue drained
-  // earlier (then Now() is advanced to `deadline` as well).
+  // earlier (then Now() is advanced to `deadline` as well). The wheel
+  // advances only onto buckets starting at or before `deadline`, so the
+  // cursor ends at or behind the clock.
   uint64_t RunUntil(Time deadline) {
     DCQCN_DCHECK(DebugAffinityOk());
     uint64_t n = 0;
     for (;;) {
-      const TopSrc src = PrepareTop();
-      if (src == TopSrc::kNone) break;
+      const TopSrc src = PrepareTop(deadline);
+      if (src == TopSrc::kNone || src == TopSrc::kLater) break;
       if (src == TopSrc::kHeap) {
         if (heap_[0].at > deadline) break;
         FireTop();
@@ -335,6 +360,15 @@ class EventQueue {
     free_head_ = slot;
   }
 
+  // The rare path of every (inlined) schedule, kept out of line so it does
+  // not bloat the hot call sites.
+  [[gnu::noinline, gnu::cold]] void HeapFallback(HeapEntry e) {
+    ++(TimerWheel::TickOf(e.at) < wheel_.cur_tick()
+           ? heap_counters_.behind_cursor
+           : heap_counters_.beyond_horizon);
+    HeapPush(e);
+  }
+
   // 4-ary min-heap: shallower than a binary heap, and the four 32-byte
   // children of a node sit in two adjacent cache lines.
   void HeapPush(HeapEntry e) {
@@ -370,28 +404,35 @@ class EventQueue {
     heap_[i] = e;
   }
 
-  enum class TopSrc : uint8_t { kNone, kHeap, kReady };
+  // kLater: nothing is due by PrepareTop's bound, and the earliest event
+  // is somewhere in the wheel at or after NextChainedStart() > bound.
+  enum class TopSrc : uint8_t { kNone, kHeap, kReady, kLater };
 
   // The single pruning + merge point: drops cancelled entries off the heap
   // top, advances the wheel while a chained bucket could hold the next
   // event, and says where the earliest live event sits. RunOne/RunUntil/
   // RunAll all drain through here exactly once per pop. The wheel needs no
   // pruning (cancel unlinks), and it only advances while its ready chain is
-  // empty: chained entries lie at later ticks than every ready entry.
-  TopSrc PrepareTop() {
+  // empty: chained entries lie at later ticks than every ready entry. It
+  // never advances onto a bucket starting after `bound`: every event in
+  // such a bucket is later than `bound`, so the merge stays exact up to it.
+  TopSrc PrepareTop(Time bound = kTimeMax) {
     for (;;) {
       while (!heap_.empty() &&
              slots_[heap_[0].slot].armed_seq != heap_[0].seq) {
         HeapPopMin();
       }
       if (wheel_.ReadyEmpty()) {
-        // A chained bucket starting at or before the heap top may hold the
-        // true earliest event: advance the wheel and re-check.
-        if (wheel_.size() > 0 &&
-            wheel_.NextChainedStart() <= (heap_.empty() ? kTimeMax
-                                                        : heap_[0].at)) {
-          wheel_.DrainOneStep();
-          continue;
+        if (wheel_.size() > 0) {
+          // A chained bucket starting at or before the heap top may hold
+          // the true earliest event: advance the wheel and re-check.
+          const Time start = wheel_.NextChainedStart();
+          const Time heap_at = heap_.empty() ? kTimeMax : heap_[0].at;
+          if (start <= heap_at) {
+            if (start > bound) return TopSrc::kLater;
+            wheel_.DrainOneStep();
+            continue;
+          }
         }
         return heap_.empty() ? TopSrc::kNone : TopSrc::kHeap;
       }
@@ -468,6 +509,7 @@ class EventQueue {
   std::thread::id debug_owner_;
   bool debug_bound_ = false;
 #endif
+  HeapCounters heap_counters_;  // cold: last, off the hot fields' lines
 };
 
 }  // namespace dcqcn

@@ -16,7 +16,8 @@
 // Beyond L2 the event stays in the caller's heap forever (entries never
 // migrate from heap to wheel), which keeps the horizon a pure routing
 // decision with no re-dispatch cost; so does an event scheduled behind the
-// cursor (see Accepts).
+// cursor, which only an unbounded peek leaves ahead of the clock (see
+// Accepts).
 //
 // Chains, ready list in place. Every bucket is an intrusive doubly-linked
 // chain of nodes indexed by the caller's slot id (one pending event per
@@ -91,9 +92,10 @@ class TimerWheel {
   // True when `at` falls inside the wheel's window — not before the
   // cursor's tick and within the horizon (route here); false means the
   // caller should keep the event in its heap. The cursor runs ahead of the
-  // caller's clock only after a peek (EventQueue::NextEventTime stepped it
-  // onto the next bucket without firing), and events scheduled behind it
-  // then go to the heap rather than into the middle of the ready chain.
+  // caller's clock only after an unbounded peek (EventQueue::NextEventTime
+  // with no limit stepped it onto the next bucket without firing), and
+  // events scheduled behind it then go to the heap rather than into the
+  // middle of the ready chain. Bounded advances never pass the bound.
   bool Accepts(Time at) const {
     const int64_t tick = TickOf(at);
     return tick >= cur_tick_ &&

@@ -1,7 +1,7 @@
 // Allocation-counting hook for the allocation-free event core (PR 4
 // acceptance criterion): after warm-up, the schedule→fire path, the pooled
-// packet rings, and a whole steady-state incast simulation must perform
-// ZERO heap allocations. The hook replaces global operator new/delete in
+// packet rings, a whole steady-state incast simulation, and the hybrid
+// gate's max-min allocator must perform ZERO heap allocations. The hook replaces global operator new/delete in
 // this test binary with counting wrappers; the tests snapshot the counter
 // around a measured phase and assert it never moved. Everything under test
 // is deterministic (seeded), so these are exact assertions, not thresholds.
@@ -10,7 +10,10 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
+#include "common/rng.h"
+#include "hybrid/allocator.h"
 #include "net/network.h"
 #include "net/topology.h"
 #include "sim/event_queue.h"
@@ -134,6 +137,47 @@ TEST(EventCoreAlloc, SteadyStateIncastIsAllocationFree) {
   EXPECT_EQ(AllocationCount() - before, 0)
       << "steady-state incast forwarding allocated";
   EXPECT_EQ(net.pool().allocated_blocks(), pool_blocks_before);
+}
+
+// The hybrid gate's max-min allocator with a reused demand list, scratch
+// and result (HybridEngine::AllocationFeasible's pattern): once warm on the
+// largest demand set, calls over any prefix of it allocate nothing, and
+// return bit for bit what the one-shot API returns.
+TEST(EventCoreAlloc, WarmMaxMinAllocateIsAllocationFree) {
+  Rng rng(7);
+  std::vector<Rate> caps(64);
+  for (Rate& c : caps) c = rng.Chance(0.5) ? Gbps(40) : Gbps(10);
+  std::vector<hybrid::AllocDemand> demands(32);
+  for (hybrid::AllocDemand& d : demands) {
+    d.cap = rng.Chance(0.5) ? Gbps(40) : Gbps(rng.Uniform(1.0, 40.0));
+    for (int64_t h = rng.UniformInt(1, 6); h > 0; --h) {
+      d.links.push_back(static_cast<int32_t>(rng.UniformInt(0, 63)));
+    }
+  }
+  std::vector<hybrid::AllocResult> want;
+  for (size_t n = 0; n <= demands.size(); ++n) {
+    want.push_back(hybrid::MaxMinAllocate(
+        std::vector<hybrid::AllocDemand>(demands.begin(),
+                                         demands.begin() +
+                                             static_cast<ptrdiff_t>(n)),
+        caps));
+  }
+  hybrid::AllocScratch scratch;
+  hybrid::AllocResult out;
+  hybrid::MaxMinAllocate(demands.data(), demands.size(), caps, &scratch,
+                         &out);  // warm-up
+  size_t mismatches = 0;
+  const int64_t before = AllocationCount();
+  for (int round = 0; round < 3; ++round) {
+    for (size_t n = demands.size() + 1; n-- > 0;) {
+      hybrid::MaxMinAllocate(demands.data(), n, caps, &scratch, &out);
+      mismatches += out.rate != want[n].rate || out.rounds != want[n].rounds;
+    }
+  }
+  EXPECT_EQ(AllocationCount() - before, 0)
+      << "a warm MaxMinAllocate call allocated";
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_GT(want.back().rounds, 1);  // the full set really shares links
 }
 
 }  // namespace

@@ -6,7 +6,8 @@
 // equality on an uncongested fabric with zero pacing jitter, bounded FCT
 // error under load, byte-identical runner output across --jobs, composition
 // with every registered rate-based CC policy, packet-mode fallback around
-// faults and window-based transports, and per-reason reject accounting.
+// faults and window-based transports, per-reason reject accounting, and
+// bounded event-queue peeks that keep every event in the timer wheel.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,6 +27,8 @@
 #include "net/topology.h"
 #include "runner/runner.h"
 #include "runner/serialize.h"
+#include "workload/sim_host.h"
+#include "workload/workload.h"
 
 namespace dcqcn {
 namespace {
@@ -403,6 +406,44 @@ std::vector<runner::TrialResult> RunPoissonCase(const std::string& hybrid,
   opt.base_seed = 23;
   opt.hybrid = hybrid;
   return runner::RunTrials(matrix, opt);
+}
+
+// Sparse Poisson traffic on a 64-host Clos, the regime where the controller
+// alternates idle probes with short epochs. Its NextEventTime peek is
+// bounded by the epoch end and every packet-mode step runs to a bound, so
+// the wheel cursor never passes the clock: nothing is filed in the heap
+// behind it (an unbounded peek filed tens of thousands of events per
+// trial there on the 512-host benchmark). The counts are pinned to the
+// unbounded controller's: the bound changes no simulated event.
+TEST(HybridEngine, BoundedPeeksFileNothingBehindTheWheelCursor) {
+  const ClosShape shape{.pods = 4, .tors_per_pod = 2, .leaves_per_pod = 2,
+                        .spines = 4, .hosts_per_tor = 8};
+  Network net(/*seed=*/29);
+  const ClosTopology topo = BuildClos(net, shape, TopologyOptions{});
+  std::vector<RdmaNic*> hosts;
+  for (const auto& per_tor : topo.hosts_by_tor) {
+    hosts.insert(hosts.end(), per_tor.begin(), per_tor.end());
+  }
+  HybridConfig cfg;
+  cfg.check_interval = Microseconds(5);
+  HybridEngine hyb(&net, cfg);
+  const auto pattern = workload::CreateWorkloadPattern(
+      workload::ParseWorkloadSpec("poisson:load_gbps=12.8,cdf=storage-backend"),
+      /*seed=*/7);
+  workload::SimWorkloadHost whost(net, hosts, TransportMode::kRdmaDcqcn);
+  whost.Begin(*pattern);
+  uint64_t events = hyb.Run(Milliseconds(20));
+  whost.StopEmission();
+  events += hyb.Run(Milliseconds(60));
+
+  const hybrid::HybridStats& st = hyb.stats();
+  EXPECT_EQ(net.eq().heap_counters().behind_cursor, 0u);
+  EXPECT_EQ(events, 27774u);
+  EXPECT_EQ(st.probes, 215);
+  EXPECT_EQ(st.epochs, 11);
+  EXPECT_EQ(st.ff_packets, 28144);
+  EXPECT_EQ(whost.metrics().completed, 100);
+  EXPECT_EQ(whost.metrics().in_flight, 0);
 }
 
 TEST(HybridEngine, ProbeDuringPauseRejectsAsSwitchPfc) {

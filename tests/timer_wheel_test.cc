@@ -7,7 +7,8 @@
 // divergence in fire order or liveness is a determinism bug. Directed cases
 // pin the shapes random churn rarely builds: dense same-tick bursts, a
 // cascade landing on an occupied L0 bucket, cancels inside the ready chain,
-// the level and horizon edges, schedules behind a peeked cursor, and
+// the level and horizon edges, schedules behind a peeked cursor, bounded
+// peeks and runs that keep the cursor behind the clock, and
 // canonical-key ties. Dense-tick cases put thousands of entries in one tick
 // out of order, so its L0 chain must be sorted when the cursor adopts it —
 // directly, after L1/L2 cascades, and with cancels inside the dirty chain —
@@ -59,10 +60,10 @@ class ReferenceModel {
     return false;
   }
 
-  // Pops the earliest live (at, key, seq), or nullptr when drained.
-  const RefEvent* PopNext() {
-    RefEvent* best = nullptr;
-    for (RefEvent& e : events_) {
+  // The earliest live (at, key, seq), or nullptr when drained.
+  const RefEvent* Earliest() const {
+    const RefEvent* best = nullptr;
+    for (const RefEvent& e : events_) {
       if (!e.live) continue;
       if (best == nullptr || e.at < best->at ||
           (e.at == best->at &&
@@ -70,6 +71,12 @@ class ReferenceModel {
         best = &e;
       }
     }
+    return best;
+  }
+
+  // Pops the earliest live (at, key, seq), or nullptr when drained.
+  const RefEvent* PopNext() {
+    RefEvent* best = const_cast<RefEvent*>(Earliest());
     if (best != nullptr) best->live = false;
     return best;
   }
@@ -492,6 +499,95 @@ TEST(TimerWheelProperty, SchedulesBehindAPeekedCursorMergeThroughTheHeap) {
     while (const RefEvent* e = ref.PopNext()) expected.push_back(e->seq);
     eq.RunAll();
     EXPECT_EQ(fired, expected);
+  }
+}
+
+// The hybrid controller's pattern: peek with NextEventTime(limit), run to
+// min(limit, peek), then schedule in [now, limit]; plain RunUntil(deadline)
+// steps in between. A bounded peek is exact up to its limit and otherwise
+// answers a lower bound past it; neither call advances the wheel onto a
+// bucket that starts after its bound, so the cursor never passes the clock
+// the caller runs to and no event is filed in the heap behind it. Delays
+// reach every wheel level, and a few land beyond the horizon to keep the
+// heap merge in play.
+TEST(TimerWheelProperty, BoundedPeeksAndRunsKeepTheCursorBehindTheClock) {
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    EventQueue eq;
+    ReferenceModel ref;
+    Rng rng(seed);
+    std::vector<uint64_t> fired;
+    std::vector<EventHandle> handles;  // index = ref seq - 1
+    auto schedule = [&](Time at) {
+      const uint64_t id = handles.size() + 1;
+      handles.push_back(
+          eq.ScheduleAt(at, [&fired, id] { fired.push_back(id); }));
+      ref.Schedule(at, id);
+    };
+    auto delay_upto = [&rng](Time span) -> Time {
+      switch (static_cast<int>(rng.UniformInt(0, 9))) {
+        case 0: return 0;
+        case 1: return rng.UniformInt(0, TickStart(1) - 1);
+        case 2: return rng.UniformInt(0, 2 * kL1Span - 1);
+        case 3: return rng.Chance(0.1) ? kHorizon + rng.UniformInt(0, kL1Span)
+                                       : rng.UniformInt(0, kHorizon - 1);
+        default: return rng.UniformInt(0, span);
+      }
+    };
+    // Runs to `t`, checking every fire against the model.
+    auto run_until = [&](Time t) {
+      const size_t before = fired.size();
+      std::vector<uint64_t> want;
+      while (const RefEvent* e = ref.Earliest()) {
+        if (e->at > t) break;
+        want.push_back(ref.PopNext()->seq);
+      }
+      ASSERT_EQ(eq.RunUntil(t), want.size());
+      ASSERT_EQ(std::vector<uint64_t>(fired.begin() +
+                                          static_cast<ptrdiff_t>(before),
+                                      fired.end()),
+                want);
+      ASSERT_EQ(eq.Now(), t);
+    };
+    for (int i = 0; i < 40; ++i) schedule(delay_upto(Microseconds(20)));
+    for (int round = 0; round < 400; ++round) {
+      const Time span = rng.Chance(0.2) ? TickStart(rng.UniformInt(0, 3))
+                                        : Microseconds(rng.UniformInt(1, 30));
+      const Time limit = eq.Now() + rng.UniformInt(0, span);
+      if (rng.Chance(0.7)) {
+        const Time ev = eq.NextEventTime(limit);
+        const RefEvent* e = ref.Earliest();
+        if (e != nullptr && e->at <= limit) {
+          ASSERT_EQ(ev, e->at);
+        } else {
+          ASSERT_GT(ev, limit);
+          if (e != nullptr) {
+            ASSERT_LE(ev, e->at);  // a lower bound
+          }
+        }
+        run_until(std::min(limit, ev));
+      } else {
+        run_until(limit);
+      }
+      if (HasFatalFailure()) return;
+      for (int64_t k = rng.UniformInt(0, 6); k > 0; --k) {
+        schedule(eq.Now() + rng.UniformInt(0, limit - eq.Now()));
+      }
+      for (int64_t k = rng.UniformInt(0, 4); k > 0; --k) {
+        schedule(eq.Now() + delay_upto(span));
+      }
+      if (rng.Chance(0.3)) {
+        const auto i = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(handles.size()) - 1));
+        ASSERT_EQ(eq.Cancel(handles[i]), ref.Cancel(i + 1));
+      }
+    }
+    std::vector<uint64_t> expected = fired;
+    while (const RefEvent* e = ref.PopNext()) expected.push_back(e->seq);
+    eq.RunAll();
+    EXPECT_EQ(fired, expected);
+    EXPECT_EQ(eq.heap_counters().behind_cursor, 0u);
+    EXPECT_GT(eq.heap_counters().beyond_horizon, 0u);
   }
 }
 

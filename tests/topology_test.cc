@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "bench/common.h"
+#include "route_reference.h"
+
 namespace dcqcn {
 namespace {
 
@@ -141,6 +148,33 @@ TEST(Clos, NoRoutingLoops) {
   }
   EXPECT_EQ(completed, 12);
   EXPECT_EQ(net.TotalDrops(), 0);
+}
+
+// Every ext_scale Clos shape, 20 to 512 hosts, plus the 2-hosts-per-ToR
+// testbed of the Fig. 3/20 parking-lot benches: each (switch, host) pair's
+// equal-cost set equals a per-host BFS's, and each switch interns a handful
+// of distinct sets rather than one per host.
+TEST(Clos, EveryScaleCaseRoutesMatchPerHostBfs) {
+  std::vector<std::pair<std::string, ClosShape>> shapes = {
+      {"parking_lot_4tor_8h", ClosShape{.hosts_per_tor = 2}}};
+  for (const bench::ScaleCase& c : bench::ScaleCases(/*smoke=*/true)) {
+    shapes.emplace_back(c.name, c.shape);
+  }
+  for (const auto& [name, shape] : shapes) {
+    SCOPED_TRACE(name);
+    Network net(1);
+    const ClosTopology t = BuildClos(net, shape, TopologyOptions{});
+    const int hosts = shape.num_tors() * shape.hosts_per_tor;
+    EXPECT_EQ(ExpectRoutesMatchReference(net),
+              static_cast<int>(net.switches().size()) * hosts);
+    for (const auto& sw : net.switches()) {
+      EXPECT_LE(sw->route_group_count(),
+                static_cast<size_t>(sw->num_ports()) + 1);
+    }
+    // A ToR: one set per local host port plus the shared uplink set.
+    EXPECT_EQ(t.tors[0]->route_group_count(),
+              static_cast<size_t>(shape.hosts_per_tor) + 1);
+  }
 }
 
 }  // namespace
