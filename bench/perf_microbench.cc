@@ -4,6 +4,8 @@
 // events per simulated millisecond).
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "core/red_ecn.h"
 #include "core/rp.h"
 #include "fluid/fluid_model.h"
@@ -290,11 +292,75 @@ void BM_BuildClos(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildClos)->Arg(20)->Arg(512)->Unit(benchmark::kMicrosecond);
 
+void BM_FlowChurn(benchmark::State& state) {
+  // Fixed per-flow cost: each iteration starts 64 one-packet DCQCN flows
+  // across the paper's 20-host Clos or the 512-host one and runs until all
+  // complete. Ids are fresh, as in a trial that keeps emitting; every 2048
+  // flows the network is rebuilt (untimed), like a new trial. Per-flow state
+  // that scales with the host count shows as a gap between the two args.
+  // Items are completed flows.
+  constexpr int kBatch = 64;
+  constexpr int kFlowsPerNetwork = 2048;
+  ClosShape shape;  // paper testbed: 4 ToRs x 5 hosts
+  if (state.range(0) == 512) {
+    shape.pods = 8;
+    shape.tors_per_pod = 4;
+    shape.leaves_per_pod = 4;
+    shape.spines = 8;
+    shape.hosts_per_tor = 16;
+  }
+  DCQCN_CHECK(shape.num_hosts() == state.range(0));
+  std::unique_ptr<Network> net;
+  std::vector<RdmaNic*> hosts;
+  int completed = 0;
+  int next = 0;  // flows started on `net`
+  auto rebuild = [&] {
+    net.reset();
+    net = std::make_unique<Network>(1);
+    const ClosTopology topo = BuildClos(*net, shape, TopologyOptions{});
+    hosts.clear();
+    for (const auto& per_tor : topo.hosts_by_tor) {
+      hosts.insert(hosts.end(), per_tor.begin(), per_tor.end());
+    }
+    for (RdmaNic* nic : hosts) nic->SetRetainCompletedRecords(false);
+    net->AddCompletionHandler([&completed](const FlowRecord&) {
+      ++completed;
+    });
+    next = 0;
+  };
+  rebuild();
+  const int n = static_cast<int>(hosts.size());
+  int64_t flows = 0;
+  for (auto _ : state) {
+    if (next == kFlowsPerNetwork) {
+      state.PauseTiming();
+      rebuild();
+      state.ResumeTiming();
+    }
+    completed = 0;
+    for (int j = 0; j < kBatch; ++j, ++next) {
+      const int src = (next * 7) % n;
+      FlowSpec f;
+      f.flow_id = net->NextFlowId();
+      f.src_host = hosts[static_cast<size_t>(src)]->id();
+      f.dst_host = hosts[static_cast<size_t>((src + n / 2) % n)]->id();
+      f.size_bytes = kMtu;
+      f.start_time = net->eq().Now() + j * Nanoseconds(100);
+      f.mode = TransportMode::kRdmaDcqcn;
+      net->StartFlow(f);
+    }
+    while (completed < kBatch) net->RunFor(Microseconds(5));
+    flows += kBatch;
+  }
+  state.SetItemsProcessed(flows);
+}
+BENCHMARK(BM_FlowChurn)->Arg(20)->Arg(512)->Unit(benchmark::kMicrosecond);
+
 void BM_LargeClosThroughput(benchmark::State& state) {
   // The headline scale target: one simulated 300 us slice of a 32-ToR /
   // 512-host / 1024-flow Clos under cross-ToR incast + random traffic
   // (bench/ext_scale's xlarge shape). Exercises every scale-out change at
-  // once: wheel-served timers, batched NIC ticks, dense flow tables.
+  // once: wheel-served timers, batched NIC ticks, the flow directory.
   ClosShape shape;
   shape.pods = 8;
   shape.tors_per_pod = 4;

@@ -68,7 +68,7 @@ RdmaNic* Network::AddHost(const NicConfig& cfg) {
     NetShard& sh = shards_[sidx];
     // Host-path device closures run on the coordinator (they call back into
     // the shared workload host); the NIC's own events stay shard-local.
-    nic = std::make_unique<RdmaNic>(&sh.eq, id, cfg, &sh.pool,
+    nic = std::make_unique<RdmaNic>(&sh.eq, id, cfg, &flows_, &sh.pool,
                                     /*host_eq=*/&eq_);
     nic->SetTracer(sh.tracer.get());
     // Spool completions for canonical barrier replay (AddCompletionHandler).
@@ -76,7 +76,7 @@ RdmaNic* Network::AddHost(const NicConfig& cfg) {
       shards_[sidx].completions.push_back(rec);
     });
   } else {
-    nic = std::make_unique<RdmaNic>(&eq_, id, cfg, &pool_);
+    nic = std::make_unique<RdmaNic>(&eq_, id, cfg, &flows_, &pool_);
     nic->SetTracer(tracer_.get());
   }
   RdmaNic* raw = nic.get();
@@ -236,6 +236,7 @@ SenderQp* Network::StartFlow(FlowSpec spec) {
   RdmaNic* src = host(spec.src_host);
   DCQCN_CHECK(src != nullptr);
   DCQCN_CHECK(host(spec.dst_host) != nullptr);
+  flows_.Claim(spec);
   SenderQp* qp = src->AddFlow(spec);
   if (flow_observer_) flow_observer_(qp);
   return qp;

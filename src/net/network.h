@@ -82,8 +82,11 @@ class Network {
   // so a host's routes are its switch's routes; see network.cc).
   void BuildRoutes();
 
-  // Registers a flow on its source NIC. Assigns a flow id if spec.flow_id
-  // is negative. Returns the sender QP.
+  // Registers a flow in the flow directory and on its source NIC. Assigns a
+  // flow id if spec.flow_id is negative. An explicit id must not belong to
+  // a flow that is still registered (one not yet released by ReleaseFlow):
+  // StartFlow CHECK-fails, naming the id and both flows' hosts. Returns the
+  // sender QP.
   SenderQp* StartFlow(FlowSpec spec);
   // Fresh flow id: recycled (see ReleaseFlow) if any are free, else the next
   // sequential counter value. Without ReleaseFlow callers this is exactly
@@ -112,12 +115,15 @@ class Network {
   void FlowPathLinks(const FlowSpec& spec, std::vector<Link*>* path) const;
 
   // Releases all per-NIC state of a completed flow (sender QP + receiver
-  // slot) and recycles its id for a future StartFlow. Deferred to a
-  // zero-delay event: completion callbacks run deep inside the QP being
-  // released. Callers must guarantee no packets for the id remain in
-  // flight (the hybrid controller releases only with the wire drained).
-  // Opt-in — nothing in the default engine calls this — and the reason
-  // dense flow tables stay bounded by *concurrent* flows in 10^6-flow runs.
+  // slot) and recycles its id for a future StartFlow, which may give it to
+  // any src/dst pair. Deferred to a zero-delay event: completion callbacks
+  // run deep inside the QP being released. Callers must guarantee no
+  // packets for the id remain in flight (the hybrid controller releases
+  // only with the wire drained). Opt-in — nothing in the default engine
+  // calls this. Per-flow tables no longer scale with hosts (the flow
+  // directory is one 16-byte entry per id), so release is what bounds
+  // *memory* by concurrent flows in 10^6-flow runs: it frees the QPs and
+  // receiver slots, and recycled ids keep the directory short.
   void ReleaseFlow(const FlowSpec& spec);
 
   const std::vector<std::unique_ptr<SharedBufferSwitch>>& switches() const {
@@ -229,6 +235,9 @@ class Network {
   std::vector<FlowSpec> pending_release_;
   bool release_armed_ = false;
   std::vector<std::unique_ptr<SharedBufferSwitch>> switches_;
+  // Flow id -> sender QP / receiver slot for every NIC (see rdma_nic.h).
+  // Declared before nics_, which point at it.
+  FlowDirectory flows_;
   std::vector<std::unique_ptr<RdmaNic>> nics_;
   // Dense node-id indexes (nullptr for the other kind): host()/FindSwitch()
   // are O(1), which matters once completions and path computations run per

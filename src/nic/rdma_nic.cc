@@ -1,15 +1,33 @@
 #include "nic/rdma_nic.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <limits>
 
 #include "host/host_device.h"
 
 namespace dcqcn {
 
-RdmaNic::RdmaNic(EventQueue* eq, int id, NicConfig config, QueuePool* pool,
-                 EventQueue* host_eq)
-    : Node(id, /*num_ports=*/1), eq_(eq), config_(config) {
+void FlowDirectory::Claim(const FlowSpec& spec) {
+  DCQCN_CHECK(spec.flow_id >= 0 && spec.flow_id < kMaxFlowId);
+  const auto fid = static_cast<size_t>(spec.flow_id);
+  if (entries_.size() <= fid) entries_.resize(fid + 1);
+  Entry& e = entries_[fid];
+  if (e.qp != nullptr || e.rcv_slot >= 0) {
+    std::fprintf(stderr,
+                 "flow id %d is still in use by host %d -> host %d; cannot "
+                 "start it for host %d -> host %d\n",
+                 spec.flow_id, e.qp != nullptr ? e.qp->spec().src_host : -1,
+                 e.dst, spec.src_host, spec.dst_host);
+    CheckFailed("flow id not in use", __FILE__, __LINE__);
+  }
+  e.dst = spec.dst_host;
+}
+
+RdmaNic::RdmaNic(EventQueue* eq, int id, NicConfig config,
+                 FlowDirectory* flows, QueuePool* pool, EventQueue* host_eq)
+    : Node(id, /*num_ports=*/1), eq_(eq), config_(config), flows_(flows) {
+  DCQCN_CHECK(flows_ != nullptr);
   config_.params.Validate();
   ctrl_out_.SetPool(pool);
   pfc_out_.SetPool(pool);
@@ -41,10 +59,8 @@ void RdmaNic::SetTracer(telemetry::EventTracer* tracer) {
 
 SenderQp* RdmaNic::AddFlow(const FlowSpec& spec) {
   DCQCN_CHECK(spec.src_host == id());
-  DCQCN_CHECK(spec.flow_id >= 0 && spec.flow_id < kMaxFlowId);
-  const auto fid = static_cast<size_t>(spec.flow_id);
-  if (qp_index_.size() <= fid) qp_index_.resize(fid + 1, nullptr);
-  DCQCN_CHECK(qp_index_[fid] == nullptr);  // one QP per flow id
+  FlowDirectory::Entry* entry = flows_->Find(spec.flow_id);
+  DCQCN_CHECK(entry != nullptr && entry->qp == nullptr);  // claimed, no QP
   auto qp = std::make_unique<SenderQp>(eq_, this, spec, config_,
                                        line_rate());
   SenderQp* raw = qp.get();
@@ -52,7 +68,7 @@ SenderQp* RdmaNic::AddFlow(const FlowSpec& spec) {
   raw->set_nic_slot(static_cast<uint32_t>(qps_.size()));
   if (qps_.size() % 64 == 0) unsent_.push_back(0);
   qps_.push_back(std::move(qp));
-  qp_index_[fid] = raw;
+  entry->qp = raw;
   const Time delay = std::max<Time>(0, spec.start_time - eq_->Now());
   eq_->ScheduleIn(delay, [this, raw] {
     raw->Start();
@@ -62,15 +78,15 @@ SenderQp* RdmaNic::AddFlow(const FlowSpec& spec) {
 }
 
 SenderQp* RdmaNic::FindQp(int flow_id) const {
-  const auto fid = static_cast<size_t>(flow_id);
-  return flow_id >= 0 && fid < qp_index_.size() ? qp_index_[fid] : nullptr;
+  const FlowDirectory::Entry* e = flows_->Find(flow_id);
+  if (e == nullptr || e->qp == nullptr) return nullptr;
+  return e->qp->spec().src_host == id() ? e->qp : nullptr;
 }
 
 Bytes RdmaNic::ReceiverDeliveredBytes(int flow_id) const {
-  const auto fid = static_cast<size_t>(flow_id);
-  if (flow_id < 0 || fid >= rcv_index_.size()) return 0;
-  const int32_t slot = rcv_index_[fid];
-  return slot < 0 ? 0 : rcv_store_[static_cast<size_t>(slot)].delivered;
+  const FlowDirectory::Entry* e = flows_->Find(flow_id);
+  if (e == nullptr || e->dst != id() || e->rcv_slot < 0) return 0;
+  return rcv_store_[static_cast<size_t>(e->rcv_slot)].delivered;
 }
 
 // (deadline, arm_seq) min-order: the new arm always carries the largest
@@ -190,7 +206,9 @@ void RdmaNic::HybridAdvanceReceiver(const FlowSpec& spec, uint64_t upto_seq) {
   p.src_host = spec.src_host;
   p.transport = spec.mode;
   p.ecmp_key = FlowEcmpKey(spec.flow_id, spec.ecmp_salt);
-  RcvFlow& rcv = RcvSlot(p);
+  RcvFlow* slot = RcvSlot(p);
+  DCQCN_CHECK(slot != nullptr);
+  RcvFlow& rcv = *slot;
   if (upto_seq <= rcv.expect) return;
   const uint64_t pkts = upto_seq - rcv.expect;
   // Byte-exact for full-message advances; the last packet may be short, but
@@ -202,12 +220,12 @@ void RdmaNic::HybridAdvanceReceiver(const FlowSpec& spec, uint64_t upto_seq) {
 }
 
 void RdmaNic::RemoveFlow(int flow_id) {
-  const auto fid = static_cast<size_t>(flow_id);
+  FlowDirectory::Entry* e = flows_->Find(flow_id);
+  if (e == nullptr) return;
   // Sender side.
-  if (flow_id >= 0 && fid < qp_index_.size() && qp_index_[fid] != nullptr) {
-    SenderQp* qp = qp_index_[fid];
+  if (SenderQp* qp = FindQp(flow_id)) {
     DCQCN_CHECK(qp->started() && qp->complete());
-    qp_index_[fid] = nullptr;
+    e->qp = nullptr;
     // Swap-remove: the last QP takes over the slot, unsent bit included (a
     // complete QP has no unsent data, so its own bit is already clear).
     const uint32_t slot = qp->nic_slot();
@@ -222,16 +240,16 @@ void RdmaNic::RemoveFlow(int flow_id) {
     qps_.pop_back();
     if (qps_.size() % 64 == 0) unsent_.pop_back();
   }
-  // Receiver side: packed swap-erase with index fixup.
-  if (flow_id >= 0 && fid < rcv_index_.size() && rcv_index_[fid] >= 0) {
-    const auto slot = static_cast<size_t>(rcv_index_[fid]);
-    rcv_index_[fid] = -1;
+  // Receiver side: packed swap-erase with directory fixup.
+  if (e->dst == id() && e->rcv_slot >= 0) {
+    const auto slot = static_cast<size_t>(e->rcv_slot);
+    e->rcv_slot = -1;
     const size_t last = rcv_store_.size() - 1;
     if (slot != last) {
       rcv_store_[slot] = rcv_store_[last];
-      DCQCN_CHECK(rcv_store_[slot].flow_id >= 0);
-      rcv_index_[static_cast<size_t>(rcv_store_[slot].flow_id)] =
-          static_cast<int32_t>(slot);
+      FlowDirectory::Entry* moved = flows_->Find(rcv_store_[slot].flow_id);
+      DCQCN_CHECK(moved != nullptr && moved->dst == id());
+      moved->rcv_slot = static_cast<int32_t>(slot);
     }
     rcv_store_.pop_back();
   }
@@ -380,14 +398,13 @@ void RdmaNic::ReceivePacket(const Packet& p, int /*in_port*/) {
   }
 }
 
-RdmaNic::RcvFlow& RdmaNic::RcvSlot(const Packet& p) {
-  DCQCN_CHECK(p.flow_id >= 0 && p.flow_id < kMaxFlowId);
-  const auto fid = static_cast<size_t>(p.flow_id);
-  if (rcv_index_.size() <= fid) rcv_index_.resize(fid + 1, -1);
-  int32_t slot = rcv_index_[fid];
+RdmaNic::RcvFlow* RdmaNic::RcvSlot(const Packet& p) {
+  FlowDirectory::Entry* e = flows_->Find(p.flow_id);
+  if (e == nullptr || e->dst != id()) return nullptr;
+  int32_t slot = e->rcv_slot;
   if (slot < 0) {
     slot = static_cast<int32_t>(rcv_store_.size());
-    rcv_index_[fid] = slot;
+    e->rcv_slot = slot;
     RcvFlow rcv;
     rcv.src_host = p.src_host;
     rcv.flow_id = p.flow_id;
@@ -395,16 +412,18 @@ RdmaNic::RcvFlow& RdmaNic::RcvSlot(const Packet& p) {
     rcv.transport = p.transport;
     rcv_store_.push_back(rcv);
   }
-  return rcv_store_[static_cast<size_t>(slot)];
+  return &rcv_store_[static_cast<size_t>(slot)];
 }
 
 void RdmaNic::HandleData(const Packet& p) {
   const Time now = eq_->Now();
-  counters_.data_packets_received++;
   // Note: valid for the rest of this function only — packet delivery is
   // never reentrant (links deliver via scheduled events), so rcv_store_
   // cannot grow underneath the reference.
-  RcvFlow& rcv = RcvSlot(p);
+  RcvFlow* slot = RcvSlot(p);
+  if (slot == nullptr) return;  // another NIC's flow: ignored
+  RcvFlow& rcv = *slot;
+  counters_.data_packets_received++;
   rcv.last_data_ts = p.tx_timestamp;
 
   // NP: CE-marked packets of DCQCN flows elicit CNPs (Fig. 6), at most one

@@ -14,9 +14,10 @@
 //     (deadline, arm order) — firmware-style QP iteration instead of one
 //     event-queue entry per flow per timer. Thousands of flows cost one
 //     pending event per NIC.
-//   * Flow lookup is dense. Per-packet paths index flow-id-keyed vectors
-//     (sender QPs directly; receiver flows through a packed side array), not
-//     unordered_maps.
+//   * Flow lookup goes through the Network's one FlowDirectory (below): a
+//     flow id indexes a 16-byte entry naming its sender QP and its receiver
+//     slot, so per-flow state costs O(flow), not O(flows x hosts). Each NIC
+//     keeps only the flows it sends (qps_) and receives (a packed store).
 //   * Data arbitration visits only QPs with unsent data. A bitmap over the
 //     QP table, kept by the QPs themselves, marks them; the round-robin scan
 //     walks its set bits, so a send costs O(QPs with data), not O(QPs).
@@ -45,6 +46,44 @@ namespace host {
 class HostPathDevice;
 }  // namespace host
 
+// Network-wide flow directory: flow id -> the flow's sender QP, its
+// receiving NIC and that NIC's receiver-store slot. One per Network, sized
+// by Network::StartFlow — on the coordinator in sharded mode, so it never
+// grows inside a window. During a window a NIC writes only the receiver
+// slot of flows it receives; every other field changes between windows.
+// Lookups check ownership: a NIC answers only for the flows it sends or
+// receives, so a stray frame for another NIC's flow finds nothing.
+class FlowDirectory {
+ public:
+  struct Entry {
+    SenderQp* qp = nullptr;  // owned by the source NIC; null = none
+    int32_t dst = -1;        // receiving NIC's node id
+    int32_t rcv_slot = -1;   // index into the dst NIC's store; -1 = none
+  };
+
+  // Sanity bound: flow ids are small counters handed out by
+  // Network::NextFlowId (or test-chosen small ints), never sparse 32-bit
+  // values. A wild id would silently allocate gigabytes; assert instead.
+  static constexpr int kMaxFlowId = 1 << 22;
+
+  // The entry for `flow_id`, or null when no flow ever had the id.
+  Entry* Find(int flow_id) {
+    const auto fid = static_cast<size_t>(flow_id);
+    return flow_id >= 0 && fid < entries_.size() ? &entries_[fid] : nullptr;
+  }
+  const Entry* Find(int flow_id) const {
+    return const_cast<FlowDirectory*>(this)->Find(flow_id);
+  }
+  // Registers `spec` (flow_id >= 0) with its destination, growing the table
+  // to cover the id. The sender QP is filled in by the source NIC.
+  // CHECK-fails, naming the id and both flows' hosts, when the id still
+  // belongs to a flow whose state has not been released.
+  void Claim(const FlowSpec& spec);
+
+ private:
+  std::vector<Entry> entries_;
+};
+
 struct NicCounters {
   int64_t data_packets_sent = 0;
   int64_t data_packets_received = 0;
@@ -68,12 +107,15 @@ class RdmaNic : public Node {
   // device schedules on: a sharded Network passes its coordinator queue so
   // verbs/doorbell closures — which call back into the shared workload host
   // — run between windows instead of on a shard thread.
-  RdmaNic(EventQueue* eq, int id, NicConfig config, QueuePool* pool = nullptr,
-          EventQueue* host_eq = nullptr);
+  //
+  // `flows` is the owning Network's flow directory; it must outlive the NIC.
+  RdmaNic(EventQueue* eq, int id, NicConfig config, FlowDirectory* flows,
+          QueuePool* pool = nullptr, EventQueue* host_eq = nullptr);
   ~RdmaNic() override;
 
-  // Creates a sender QP for `spec` (src_host must be this NIC) and schedules
-  // its start. Returns a non-owning pointer valid for the NIC's lifetime.
+  // Creates a sender QP for `spec` (src_host must be this NIC, and the id
+  // claimed in the directory) and schedules its start. Returns a non-owning
+  // pointer valid until RemoveFlow or the NIC's destruction.
   SenderQp* AddFlow(const FlowSpec& spec);
 
   // Node interface.
@@ -110,8 +152,11 @@ class RdmaNic : public Node {
   Rate line_rate() const;
   const NicCounters& counters() const { return counters_; }
   const std::vector<FlowRecord>& completed_flows() const { return completed_; }
-  // Bytes delivered in order to this NIC for `flow_id` (receiver side).
+  // Bytes delivered in order to this NIC for `flow_id` (receiver side); 0
+  // for a flow this NIC does not receive.
   Bytes ReceiverDeliveredBytes(int flow_id) const;
+  // This NIC's sender QP for `flow_id`, or null (no such flow, or another
+  // NIC sends it).
   SenderQp* FindQp(int flow_id) const;
   const NicConfig& config() const { return config_; }
   bool TxPaused(int priority) const {
@@ -144,11 +189,11 @@ class RdmaNic : public Node {
   // retained in completed_flows() — 10^6-flow runs cannot afford the
   // buffer. Default on (retain), preserving existing readouts.
   void SetRetainCompletedRecords(bool retain) { retain_completed_ = retain; }
-  // Releases all per-flow state for `flow_id` on this NIC: the sender QP
-  // (must be started and complete) and/or the receiver slot, whichever
-  // exist. Stray late packets for the id are ignored (FindQp -> null).
-  // Enables flow-id recycling so dense tables stay bounded by the number of
-  // *concurrent* flows.
+  // Releases this NIC's state for `flow_id`: the sender QP (must be started
+  // and complete) if this NIC sends it and/or the receiver slot if it
+  // receives it; another NIC's flow is left alone. Stray late packets for
+  // the id are ignored (FindQp -> null). Once both ends have released, the
+  // id may be claimed again — for any src/dst pair.
   void RemoveFlow(int flow_id);
 
   // --- fault-injection hooks (FaultInjector, src/fault) ---
@@ -177,12 +222,6 @@ class RdmaNic : public Node {
   host::HostPathDevice* host_path() const { return host_path_.get(); }
 
  private:
-  // Sanity bound for the dense tables: flow ids are small counters handed
-  // out by Network::NextFlowId (or test-chosen small ints), never sparse
-  // 32-bit values. A wild id would silently allocate gigabytes; assert
-  // instead.
-  static constexpr int kMaxFlowId = 1 << 22;
-
   struct RcvFlow {
     int32_t src_host = -1;
     int32_t flow_id = -1;  // back-pointer for packed-store swap-erase
@@ -215,8 +254,10 @@ class RdmaNic : public Node {
   // The batched tick: services every node with deadline <= now in
   // (deadline, arm_seq) order, then re-arms for the new head.
   void ServiceQpTimers();
-  // Receiver-flow slot for a data packet's flow id, created on first packet.
-  RcvFlow& RcvSlot(const Packet& p);
+  // Receiver-flow slot for a data packet's flow id, created on first
+  // packet; null when the directory names another NIC as the receiver (or
+  // the id was never started).
+  RcvFlow* RcvSlot(const Packet& p);
   void HandleData(const Packet& p);
   void SendControl(PacketType type, const RcvFlow& rcv, int flow_id,
                    uint64_t seq, bool ecn_echo);
@@ -257,13 +298,10 @@ class RdmaNic : public Node {
   // Window-blocked and pacing-blocked QPs keep their bit; TrySend checks
   // those conditions for the QPs the bitmap yields.
   std::vector<uint64_t> unsent_;
-  // Dense flow tables, indexed by flow id (ids are small network-assigned
-  // integers; AddFlow/RcvSlot assert the kMaxFlowId sanity bound). The
-  // receiver side adds one packed-array indirection so an id costs 4 bytes,
-  // not sizeof(RcvFlow).
-  std::vector<SenderQp*> qp_index_;   // flow id -> sender QP (null = none)
-  std::vector<int32_t> rcv_index_;    // flow id -> rcv_store_ slot (-1 = none)
-  std::vector<RcvFlow> rcv_store_;    // packed, first-packet arrival order
+  // The Network's flow directory (flow id -> QP / receiver slot), and the
+  // flows this NIC receives, packed in first-packet arrival order.
+  FlowDirectory* flows_;
+  std::vector<RcvFlow> rcv_store_;
   RingBuffer<Packet> ctrl_out_;
   // PFC frames from the pause-storm generator; sent ahead of everything and
   // exempt from PFC pauses (MAC control frames are never subject to PFC).

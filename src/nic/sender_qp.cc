@@ -88,9 +88,10 @@ bool SenderQp::HasPacketReady() const {
 }
 
 Bytes SenderQp::PacketBytes(uint64_t seq) const {
-  // Locate the message containing `seq` (the deque is short: outstanding
+  // Locate the message containing `seq` (the queue is short: outstanding
   // transfers on one QP).
-  for (const Message& m : messages_) {
+  for (size_t i = 0; i < messages_.size(); ++i) {
+    const Message& m = messages_[i];
     if (seq < m.begin_seq || seq >= m.end_seq) continue;
     if (seq + 1 < m.end_seq) return kMtu;
     if (m.bytes == 0) return kMtu;  // unbounded sentinel
@@ -102,7 +103,8 @@ Bytes SenderQp::PacketBytes(uint64_t seq) const {
 }
 
 bool SenderQp::IsLastOfMessage(uint64_t seq) const {
-  for (const Message& m : messages_) {
+  for (size_t i = 0; i < messages_.size(); ++i) {
+    const Message& m = messages_[i];
     if (seq + 1 == m.end_seq) return true;
     if (seq < m.end_seq) return false;
   }
@@ -229,7 +231,8 @@ void SenderQp::CompleteMessages(Time now) {
 
 Bytes SenderQp::UnackedBytes() const {
   Bytes total = 0;
-  for (const Message& m : messages_) {
+  for (size_t i = 0; i < messages_.size(); ++i) {
+    const Message& m = messages_[i];
     if (m.bytes == 0) continue;  // unbounded sentinel
     total += m.bytes;
     if (snd_una_ > m.begin_seq) {

@@ -20,7 +20,6 @@
 //     than keeping a hardware timer per QP.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <optional>
 
@@ -33,6 +32,7 @@
 #include "nic/flow.h"
 #include "nic/nic_config.h"
 #include "sim/event_queue.h"
+#include "sim/ring_buffer.h"
 #include "telemetry/event_trace.h"
 
 namespace dcqcn {
@@ -211,7 +211,7 @@ class SenderQp : public CcHost {
     Bytes bytes = 0;
     Time start_time = 0;  // when its first packet became sendable
   };
-  std::deque<Message> messages_;
+  RingBuffer<Message> messages_;
   uint64_t send_limit_ = 0;  // total packets across all enqueued messages
   const bool unbounded_;
 

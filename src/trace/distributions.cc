@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <tuple>
 
 #include "common/check.h"
 
@@ -37,12 +40,30 @@ Bytes EmpiricalSizeCdf::Sample(Rng& rng) const {
 }
 
 Bytes EmpiricalSizeCdf::MeanApprox(int samples, uint64_t seed) const {
+  // Memoized per (knots, samples, seed): every Poisson workload set-up asks
+  // for the same 20 000-draw estimate. The estimate is a pure function of
+  // the key, so a cached value is bit-identical to a fresh one. Shared by
+  // runner threads (--jobs); the lock is held only for lookup and insert.
+  using Key = std::tuple<std::vector<std::pair<double, Bytes>>, int, uint64_t>;
+  static std::mutex mu;
+  static std::map<Key, Bytes> memo;
+  Key key{knots_, samples, seed};
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    if (auto it = memo.find(key); it != memo.end()) return it->second;
+  }
   Rng rng(seed);
   double sum = 0;
   for (int i = 0; i < samples; ++i) {
     sum += static_cast<double>(Sample(rng));
   }
-  return static_cast<Bytes>(sum / samples);
+  const auto mean = static_cast<Bytes>(sum / samples);
+  // Bounded: callers use a handful of distributions; a generator of
+  // endless distinct CDFs just stops being cached.
+  constexpr size_t kMaxMemo = 256;
+  std::lock_guard<std::mutex> lock(mu);
+  if (memo.size() < kMaxMemo) memo.emplace(std::move(key), mean);
+  return mean;
 }
 
 EmpiricalSizeCdf EmpiricalSizeCdf::StorageBackend() {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 namespace dcqcn {
 namespace {
 
@@ -122,6 +125,35 @@ TEST(EmpiricalSizeCdf, MeanApproxIsDeterministicAndSeedStable) {
   const double a = static_cast<double>(cdf.MeanApprox(20000, 1));
   const double b = static_cast<double>(cdf.MeanApprox(20000, 99));
   EXPECT_NEAR(a / b, 1.0, 0.05);
+}
+
+TEST(EmpiricalSizeCdf, MeanApproxMemoMatchesAFreshEstimateOnEveryThread) {
+  // The estimate is memoized per (knots, samples, seed); a cached answer
+  // must equal the direct draw loop bit for bit, however many threads ask.
+  auto cdf = EmpiricalSizeCdf::ByName("alibaba-storage", 0.37);
+  auto fresh = [&cdf](int samples, uint64_t seed) {
+    Rng rng(seed);
+    double sum = 0;
+    for (int i = 0; i < samples; ++i) {
+      sum += static_cast<double>(cdf.Sample(rng));
+    }
+    return static_cast<Bytes>(sum / samples);
+  };
+  std::vector<Bytes> seen(4, -1);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < seen.size(); ++t) {
+    threads.emplace_back(
+        [&cdf, &seen, t] { seen[t] = cdf.MeanApprox(3000, 5); });
+  }
+  for (std::thread& t : threads) t.join();
+  for (Bytes b : seen) EXPECT_EQ(b, fresh(3000, 5));
+  // Warm repeats, a copy of the distribution, and neighbouring keys.
+  EXPECT_EQ(cdf.MeanApprox(3000, 5), fresh(3000, 5));
+  EXPECT_EQ(EmpiricalSizeCdf::ByName("alibaba-storage", 0.37).MeanApprox(
+                3000, 5),
+            fresh(3000, 5));
+  EXPECT_EQ(cdf.MeanApprox(3000, 6), fresh(3000, 6));
+  EXPECT_EQ(cdf.MeanApprox(2999, 5), fresh(2999, 5));
 }
 
 TEST(EmpiricalSizeCdf, ByNameCoversEveryRegisteredName) {

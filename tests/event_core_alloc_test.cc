@@ -1,10 +1,11 @@
-// Allocation-counting hook for the allocation-free event core (PR 4
-// acceptance criterion): after warm-up, the schedule→fire path, the pooled
-// packet rings, a whole steady-state incast simulation, and the hybrid
-// gate's max-min allocator must perform ZERO heap allocations. The hook replaces global operator new/delete in
-// this test binary with counting wrappers; the tests snapshot the counter
-// around a measured phase and assert it never moved. Everything under test
-// is deterministic (seeded), so these are exact assertions, not thresholds.
+// Allocation-counting hook for the allocation-free event core: after
+// warm-up, the schedule→fire path, the pooled packet rings, a whole
+// steady-state incast simulation, and the hybrid gate's max-min allocator
+// must perform ZERO heap allocations, and a short flow's allocations must
+// not grow with the host count. The hook replaces global operator new/delete
+// in this test binary with counting wrappers (calls and bytes); the tests
+// snapshot the counters around a measured phase. Everything under test is
+// deterministic (seeded), so these are exact assertions, not thresholds.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,10 +24,17 @@
 namespace {
 
 std::atomic<int64_t> g_allocations{0};
+std::atomic<int64_t> g_allocated_bytes{0};
+
+void* CountedAllocNoThrow(size_t size) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(static_cast<int64_t>(size),
+                              std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
 
 void* CountedAlloc(size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  if (void* p = CountedAllocNoThrow(size)) return p;
   throw std::bad_alloc();
 }
 
@@ -34,17 +42,19 @@ int64_t AllocationCount() {
   return g_allocations.load(std::memory_order_relaxed);
 }
 
+int64_t AllocatedBytes() {
+  return g_allocated_bytes.load(std::memory_order_relaxed);
+}
+
 }  // namespace
 
 void* operator new(size_t size) { return CountedAlloc(size); }
 void* operator new[](size_t size) { return CountedAlloc(size); }
 void* operator new(size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
+  return CountedAllocNoThrow(size);
 }
 void* operator new[](size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
+  return CountedAllocNoThrow(size);
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
@@ -178,6 +188,69 @@ TEST(EventCoreAlloc, WarmMaxMinAllocateIsAllocationFree) {
       << "a warm MaxMinAllocate call allocated";
   EXPECT_EQ(mismatches, 0u);
   EXPECT_GT(want.back().rounds, 1);  // the full set really shares links
+}
+
+// Bytes allocated while `flows` one-packet flows start and complete on a
+// Clos of H hosts, after a warm-up of the same traffic. Flow j runs host
+// j%H -> host (j%H + H/2)%H, started j us into its phase: spaced so no queue
+// builds and RED never draws a mark. The Clos has one leaf per pod and one
+// spine, so every (src, dst) pair has one path and the measured phase
+// replays the warm-up's wire pattern exactly: every ring, slot and per-NIC
+// table the measured flows touch is already at its high-water mark. The
+// warm-up flows are released; the measured ones take fresh ids
+// (flows..2*flows-1) — the ids a growing trial hands out.
+int64_t ShortFlowPhaseBytes(int pods, int tors_per_pod, int hosts_per_tor,
+                            int flows) {
+  ClosShape shape;
+  shape.pods = pods;
+  shape.tors_per_pod = tors_per_pod;
+  shape.leaves_per_pod = 1;
+  shape.spines = 1;
+  shape.hosts_per_tor = hosts_per_tor;
+  Network net(3);
+  const ClosTopology topo = BuildClos(net, shape, TopologyOptions{});
+  std::vector<RdmaNic*> hosts;
+  for (const auto& per_tor : topo.hosts_by_tor) {
+    hosts.insert(hosts.end(), per_tor.begin(), per_tor.end());
+  }
+  const int n = static_cast<int>(hosts.size());
+  int completed = 0;
+  for (RdmaNic* nic : hosts) nic->SetRetainCompletedRecords(false);
+  net.AddCompletionHandler([&completed](const FlowRecord&) { ++completed; });
+  std::vector<FlowSpec> specs(static_cast<size_t>(flows));
+  auto run_phase = [&](int first_id) {
+    const Time t0 = net.eq().Now();
+    for (int j = 0; j < flows; ++j) {
+      FlowSpec& f = specs[static_cast<size_t>(j)];
+      f.flow_id = first_id + j;
+      f.src_host = hosts[static_cast<size_t>(j % n)]->id();
+      f.dst_host = hosts[static_cast<size_t>((j % n + n / 2) % n)]->id();
+      f.size_bytes = kMtu;
+      f.start_time = t0 + j * Microseconds(1);
+      f.mode = TransportMode::kRdmaDcqcn;
+      net.StartFlow(f);
+    }
+    completed = 0;
+    while (completed < flows) net.RunFor(Microseconds(10));
+  };
+  run_phase(0);
+  for (const FlowSpec& f : specs) net.ReleaseFlow(f);
+  net.RunFor(Microseconds(10));  // drain the deferred releases
+  const int64_t before = AllocatedBytes();
+  run_phase(flows);
+  return AllocatedBytes() - before;
+}
+
+// A started-and-completed short flow costs the same bytes on the paper's
+// 20-host Clos and on a 512-host one: per-flow state is O(flow), with no
+// per-NIC table sized by the network-wide flow id.
+TEST(EventCoreAlloc, ShortFlowCostIsIndependentOfHostCount) {
+  constexpr int kFlows = 512;
+  const int64_t small = ShortFlowPhaseBytes(2, 2, 5, kFlows);
+  const int64_t large = ShortFlowPhaseBytes(8, 4, 16, kFlows);
+  EXPECT_EQ(small, large) << "bytes per flow: " << small / kFlows << " on 20 "
+                          << "hosts, " << large / kFlows << " on 512 hosts";
+  EXPECT_GT(small, 0);  // the flows' own state is still counted
 }
 
 }  // namespace

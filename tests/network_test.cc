@@ -280,6 +280,37 @@ TEST(Network, StartFlowAssignsIds) {
   EXPECT_GT(net.NextFlowId(), qp->spec().flow_id);
 }
 
+// Flow ids are network-wide: one live flow per id. Reusing a live id —
+// from another host pair or the same one — is a caller bug, and StartFlow
+// names the id and both flows' hosts. A released id is free again.
+TEST(Network, StartFlowRejectsALiveIdAndNamesBothFlows) {
+  Network net(1);
+  auto topo = BuildStar(net, 4, TopologyOptions{});
+  FlowSpec a;
+  a.flow_id = 7;
+  a.src_host = topo.hosts[0]->id();
+  a.dst_host = topo.hosts[1]->id();
+  a.size_bytes = 1000;
+  net.StartFlow(a);
+  FlowSpec b = a;
+  b.src_host = topo.hosts[2]->id();
+  b.dst_host = topo.hosts[3]->id();
+  const std::string msg = "flow id 7 is still in use by host " +
+                          std::to_string(a.src_host) + " -> host " +
+                          std::to_string(a.dst_host) +
+                          "; cannot start it for host " +
+                          std::to_string(b.src_host) + " -> host " +
+                          std::to_string(b.dst_host);
+  EXPECT_DEATH(net.StartFlow(b), msg);
+  // Completion alone does not free the id; release does.
+  net.RunFor(Microseconds(100));
+  ASSERT_TRUE(topo.hosts[0]->FindQp(7)->complete());
+  EXPECT_DEATH(net.StartFlow(b), "flow id 7 is still in use");
+  net.ReleaseFlow(a);
+  net.RunFor(Microseconds(1));
+  EXPECT_EQ(net.StartFlow(b)->spec().src_host, b.src_host);
+}
+
 TEST(Network, AggregateCountersSumSwitches) {
   Network net(2);
   auto topo = BuildStar(net, 5, TopologyOptions{});

@@ -373,6 +373,112 @@ TEST(Nic, CompletionCallbackFires) {
 }
 
 
+// --- the network-wide flow directory: ownership ---
+
+// A control frame carrying the flow id of a flow this NIC does not send.
+Packet ControlFrame(PacketType type, int flow_id, int src, int dst) {
+  Packet c;
+  c.type = type;
+  c.flow_id = flow_id;
+  c.src_host = src;
+  c.dst_host = dst;
+  c.size_bytes = kControlFrameBytes;
+  c.priority = kControlPriority;
+  c.seq = 1u << 20;  // far ahead: an accepted ACK would complete the flow
+  c.qcn_fbq = 63;
+  return c;
+}
+
+// ACK, NAK, CNP and QCN feedback frames for a flow are acted on only by its
+// sending NIC. Delivered to the receiving NIC or a bystander — each looks
+// the id up in the one directory the sender's QP is filed in — they are
+// ignored, as is a data frame at a NIC that does not receive the flow.
+TEST(Nic, StrayFramesForAnotherNicsFlowAreIgnored) {
+  Network net(1);
+  auto t = BuildStar(net, 3, DefaultOpts());
+  FlowSpec f = Flow(net, t.hosts[0], t.hosts[1], 0, TransportMode::kRdmaDcqcn);
+  SenderQp* qp = net.StartFlow(f);
+  net.RunFor(Microseconds(20));
+  const uint64_t una = qp->snd_una();
+  const Rate rate = qp->current_rate();
+  for (RdmaNic* other : {t.hosts[1], t.hosts[2]}) {
+    EXPECT_EQ(other->FindQp(f.flow_id), nullptr);
+    for (PacketType type : {PacketType::kAck, PacketType::kNak,
+                            PacketType::kCnp, PacketType::kQcnFeedback}) {
+      other->ReceivePacket(
+          ControlFrame(type, f.flow_id, t.hosts[1]->id(), other->id()), 0);
+    }
+  }
+  EXPECT_EQ(t.hosts[0]->FindQp(f.flow_id), qp);
+  EXPECT_EQ(qp->snd_una(), una);
+  EXPECT_EQ(qp->current_rate(), rate);
+  EXPECT_EQ(qp->counters().cnps_received, 0);
+  EXPECT_EQ(qp->counters().naks_received, 0);
+  // A data frame at a bystander: no receiver state, no ACK, not counted.
+  Packet d;
+  d.type = PacketType::kData;
+  d.flow_id = f.flow_id;
+  d.src_host = t.hosts[0]->id();
+  d.dst_host = t.hosts[1]->id();
+  d.size_bytes = kMtu;
+  d.last_of_message = true;
+  t.hosts[2]->ReceivePacket(d, 0);
+  EXPECT_EQ(t.hosts[2]->counters().data_packets_received, 0);
+  EXPECT_EQ(t.hosts[2]->counters().acks_sent, 0);
+  EXPECT_EQ(t.hosts[2]->ReceiverDeliveredBytes(f.flow_id), 0);
+  // The real flow is untouched by all of it.
+  net.RunFor(Microseconds(100));
+  EXPECT_GT(t.hosts[1]->ReceiverDeliveredBytes(f.flow_id), 0);
+  EXPECT_EQ(qp->counters().cnps_received, 0);
+}
+
+TEST(Nic, ReceiverDeliveredBytesIsZeroOffTheReceiver) {
+  Network net(1);
+  auto t = BuildStar(net, 3, DefaultOpts());
+  FlowSpec f = Flow(net, t.hosts[0], t.hosts[1], 5000, TransportMode::kRdmaRaw);
+  net.StartFlow(f);
+  net.RunFor(Microseconds(100));
+  EXPECT_EQ(t.hosts[1]->ReceiverDeliveredBytes(f.flow_id), 5000);
+  EXPECT_EQ(t.hosts[0]->ReceiverDeliveredBytes(f.flow_id), 0);  // sender
+  EXPECT_EQ(t.hosts[2]->ReceiverDeliveredBytes(f.flow_id), 0);  // bystander
+  EXPECT_EQ(t.hosts[1]->ReceiverDeliveredBytes(f.flow_id + 1), 0);  // unused
+  EXPECT_EQ(t.hosts[1]->ReceiverDeliveredBytes(-1), 0);
+}
+
+// A released id is recycled to a different src/dst pair: the new flow's
+// ends own it, the old ends answer null/0, and the receiver's packed store
+// keeps its other flows' slots right across the swap-erase.
+TEST(Nic, ReleasedIdIsRecycledToADifferentPair) {
+  Network net(1);
+  auto t = BuildStar(net, 3, DefaultOpts());
+  FlowSpec a = Flow(net, t.hosts[0], t.hosts[1], 3000, TransportMode::kRdmaRaw);
+  FlowSpec keep =
+      Flow(net, t.hosts[2], t.hosts[1], 7000, TransportMode::kRdmaRaw);
+  net.StartFlow(a);
+  net.StartFlow(keep);
+  net.RunFor(Microseconds(100));
+  ASSERT_EQ(t.hosts[1]->ReceiverDeliveredBytes(a.flow_id), 3000);
+  net.ReleaseFlow(a);
+  net.RunFor(Microseconds(1));
+  EXPECT_EQ(t.hosts[0]->FindQp(a.flow_id), nullptr);
+  EXPECT_EQ(t.hosts[1]->ReceiverDeliveredBytes(a.flow_id), 0);
+  EXPECT_EQ(t.hosts[1]->ReceiverDeliveredBytes(keep.flow_id), 7000);
+
+  // The id comes back; give it to host 2 -> host 0.
+  FlowSpec b = Flow(net, t.hosts[2], t.hosts[0], 4000, TransportMode::kRdmaRaw);
+  ASSERT_EQ(b.flow_id, a.flow_id);
+  SenderQp* qp = net.StartFlow(b);
+  net.RunFor(Microseconds(100));
+  EXPECT_TRUE(qp->complete());
+  EXPECT_EQ(t.hosts[2]->FindQp(b.flow_id), qp);
+  EXPECT_EQ(t.hosts[0]->FindQp(b.flow_id), nullptr);
+  EXPECT_EQ(t.hosts[0]->ReceiverDeliveredBytes(b.flow_id), 4000);
+  EXPECT_EQ(t.hosts[1]->ReceiverDeliveredBytes(b.flow_id), 0);
+  EXPECT_EQ(t.hosts[1]->ReceiverDeliveredBytes(keep.flow_id), 7000);
+  ASSERT_EQ(t.hosts[2]->completed_flows().size(), 2u);
+  EXPECT_EQ(t.hosts[2]->completed_flows()[1].bytes, 4000);
+}
+
 // A two-port wire tap between a NIC and its peer: forwards every frame,
 // folds each data frame arriving on port 0 — i.e. the sending NIC's
 // transmit order — into a fingerprint, and drops chosen data frames to

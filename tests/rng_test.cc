@@ -2,8 +2,181 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <random>
+#include <utility>
+#include <vector>
+
+#include "runner/runner.h"
+
 namespace dcqcn {
 namespace {
+
+// --- LazyMt19937_64 is std::mt19937_64, output for output ---
+
+// Draw counts that straddle the lazy/standard hand-off (156) and the
+// standard engine's own twists (312, 624).
+constexpr int kLengths[] = {1, 155, 156, 157, 311, 312, 313, 624, 625};
+
+std::vector<uint64_t> EngineSeeds() {
+  std::vector<uint64_t> seeds = {0, 1, 5489, ~uint64_t{0}};
+  for (uint64_t base : {1ull, 7ull, 42ull}) {
+    for (uint64_t t = 0; t < 4; ++t) {
+      seeds.push_back(runner::DeriveTrialSeed(base, t));
+    }
+  }
+  return seeds;
+}
+
+// SenderQp's per-flow seed.
+uint64_t QpSeed(uint64_t flow_id) { return flow_id * 2654435761ULL + 12345; }
+
+// Asserts the next `n` outputs of both engines agree.
+template <typename A, typename B>
+void ExpectSameOutputs(A& a, B& b, int n, uint64_t seed) {
+  for (int i = 0; i < n; ++i) {
+    const uint64_t x = a();
+    const uint64_t y = b();
+    ASSERT_EQ(x, y) << "seed " << seed << " output " << i;
+  }
+}
+
+TEST(LazyMt, MatchesStdForEverySeedAndLength) {
+  for (uint64_t seed : EngineSeeds()) {
+    for (int n : kLengths) {
+      LazyMt19937_64 lazy(seed);
+      std::mt19937_64 ref(seed);
+      ExpectSameOutputs(lazy, ref, n, seed);
+    }
+  }
+}
+
+TEST(LazyMt, MatchesStdForEveryQpSeed) {
+  for (uint64_t id = 0; id <= 10000; ++id) {
+    const uint64_t seed = QpSeed(id);
+    LazyMt19937_64 lazy(seed);
+    std::mt19937_64 ref(seed);
+    // Flow ids are cheap to cover past the hand-off; every 97th goes past
+    // the standard engine's second twist too.
+    ExpectSameOutputs(lazy, ref, id % 97 == 0 ? 625 : 157, seed);
+  }
+}
+
+TEST(LazyMt, DefaultAndReseedMatchStd) {
+  LazyMt19937_64 lazy;
+  std::mt19937_64 ref;
+  ExpectSameOutputs(lazy, ref, 400, LazyMt19937_64::default_seed);
+  lazy.seed(99);
+  ref.seed(99);
+  ExpectSameOutputs(lazy, ref, 400, 99);
+}
+
+TEST(LazyMt, CopiesAndMovesContinueTheStream) {
+  for (int at : {0, 1, 100, 155, 156, 157, 400}) {
+    LazyMt19937_64 lazy(7);
+    std::mt19937_64 ref(7);
+    ExpectSameOutputs(lazy, ref, at, 7);
+    LazyMt19937_64 copy(lazy);
+    LazyMt19937_64 assigned(1);
+    assigned = lazy;
+    std::mt19937_64 ref_copy(ref);
+    std::mt19937_64 ref_assigned(ref);
+    // The original and its copies advance independently.
+    ExpectSameOutputs(lazy, ref, 300, 7);
+    ExpectSameOutputs(copy, ref_copy, 300, 7);
+    ExpectSameOutputs(assigned, ref_assigned, 300, 7);
+    LazyMt19937_64 moved(std::move(copy));
+    ExpectSameOutputs(moved, ref_copy, 300, 7);
+    LazyMt19937_64 move_assigned(3);
+    move_assigned = std::move(moved);
+    ExpectSameOutputs(move_assigned, ref_copy, 300, 7);
+  }
+}
+
+TEST(LazyMt, DiscardMatchesStd) {
+  for (int pre : {0, 10, 155, 156, 200}) {
+    for (unsigned long long z : {0ull, 1ull, 145ull, 146ull, 156ull, 157ull,
+                                 312ull, 1000ull}) {
+      LazyMt19937_64 lazy(11);
+      std::mt19937_64 ref(11);
+      ExpectSameOutputs(lazy, ref, pre, 11);
+      lazy.discard(z);
+      ref.discard(z);
+      ExpectSameOutputs(lazy, ref, 200, 11);
+    }
+  }
+}
+
+TEST(LazyMt, ShuffleThroughRngEngineMatchesStd) {
+  for (uint64_t seed : EngineSeeds()) {
+    for (int n : {5, 64, 300}) {
+      std::vector<int> a(static_cast<size_t>(n));
+      std::iota(a.begin(), a.end(), 0);
+      std::vector<int> b = a;
+      Rng rng(seed);
+      std::mt19937_64 ref(seed);
+      std::shuffle(a.begin(), a.end(), rng.engine());
+      std::shuffle(b.begin(), b.end(), ref);
+      EXPECT_EQ(a, b) << "seed " << seed << " n " << n;
+      EXPECT_EQ(rng.NextU64(), ref());
+    }
+  }
+}
+
+// Rng's helpers as they read over std::mt19937_64 — the reference the lazy
+// engine must reproduce bit for bit.
+struct StdRng {
+  explicit StdRng(uint64_t seed) : engine(seed) {}
+  double Uniform() {
+    return std::uniform_real_distribution<double>(0.0, 1.0)(engine);
+  }
+  double Uniform(double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(engine);
+  }
+  int64_t UniformInt(int64_t lo, int64_t hi) {
+    return std::uniform_int_distribution<int64_t>(lo, hi)(engine);
+  }
+  double Exponential(double mean) {
+    return std::exponential_distribution<double>(1.0 / mean)(engine);
+  }
+  double Pareto(double x_m, double a) {
+    double u = Uniform();
+    if (u >= 1.0) u = std::nextafter(1.0, 0.0);
+    return x_m / std::pow(1.0 - u, 1.0 / a);
+  }
+  double LogNormal(double mu, double sigma) {
+    return std::lognormal_distribution<double>(mu, sigma)(engine);
+  }
+  std::mt19937_64 engine;
+};
+
+TEST(LazyMt, RngHelpersMatchStdEngine) {
+  std::vector<uint64_t> seeds = EngineSeeds();
+  for (uint64_t id : {0ull, 1ull, 77ull, 9999ull}) seeds.push_back(QpSeed(id));
+  for (uint64_t seed : seeds) {
+    Rng rng(seed);
+    StdRng ref(seed);
+    // Mixed helpers, so the draw count crosses 156 and 312 mid-sequence
+    // (LogNormal takes two draws per call).
+    for (int i = 0; i < 160; ++i) {
+      ASSERT_EQ(rng.Uniform(), ref.Uniform()) << seed << " " << i;
+      ASSERT_EQ(rng.Uniform(-3.0, 5.0), ref.Uniform(-3.0, 5.0));
+      ASSERT_EQ(rng.UniformInt(0, 1000), ref.UniformInt(0, 1000));
+      ASSERT_EQ(rng.UniformInt(-5, 5), ref.UniformInt(-5, 5));
+      ASSERT_EQ(rng.Chance(0.3), ref.Uniform() < 0.3);
+      ASSERT_EQ(rng.Exponential(2.5), ref.Exponential(2.5));
+      ASSERT_EQ(rng.Pareto(2.0, 1.2), ref.Pareto(2.0, 1.2));
+      ASSERT_EQ(rng.LogNormal(1.0, 0.5), ref.LogNormal(1.0, 0.5));
+    }
+    EXPECT_EQ(rng.NextU64(), ref.engine());
+  }
+}
+
+TEST(LazyMt, LazyStateIsSmall) {
+  EXPECT_LE(sizeof(LazyMt19937_64), 48u);
+  EXPECT_LT(sizeof(Rng), sizeof(std::mt19937_64) / 32);
+}
 
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(42), b(42);
