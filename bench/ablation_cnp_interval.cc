@@ -16,7 +16,7 @@
 
 #include "net/topology.h"
 #include "runner/runner.h"
-#include "stats/monitor.h"
+#include "telemetry/probes.h"
 
 using namespace dcqcn;
 
@@ -46,10 +46,11 @@ runner::TrialSpec CnpIntervalTrial(int n_us) {
       f.mode = TransportMode::kRdmaDcqcn;
       net.StartFlow(f);
     }
-    QueueMonitor mon(&net.eq(), Microseconds(10), [&] {
-      return topo.sw->EgressQueueBytes(8, kDataPriority);
+    telemetry::ProbeSet probes(&net.eq(), Microseconds(10));
+    const size_t queue = probes.AddGauge("queue_bytes", [&] {
+      return static_cast<double>(topo.sw->EgressQueueBytes(8, kDataPriority));
     });
-    mon.Start();
+    probes.Start();
     net.RunFor(Milliseconds(10));
     Bytes before = 0;
     for (int i = 0; i < 8; ++i) {
@@ -65,7 +66,7 @@ runner::TrialSpec CnpIntervalTrial(int n_us) {
                   ->counters()
                   .cnps_received;
     }
-    const Cdf q = mon.ToCdf(Milliseconds(10));
+    const Cdf q = probes.ToCdf(queue, Milliseconds(10));
 
     runner::TrialResult r;
     r.counters["cnps_received"] = cnps;

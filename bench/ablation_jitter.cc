@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "net/topology.h"
-#include "stats/monitor.h"
+#include "telemetry/probes.h"
 
 using namespace dcqcn;
 
@@ -33,10 +33,11 @@ Result Run(double timer_jitter, double pacing_jitter, int k) {
     f.mode = TransportMode::kRdmaDcqcn;
     net.StartFlow(f);
   }
-  QueueMonitor mon(&net.eq(), Microseconds(10), [&] {
-    return topo.sw->EgressQueueBytes(k, kDataPriority);
+  telemetry::ProbeSet probes(&net.eq(), Microseconds(10));
+  const size_t queue = probes.AddGauge("queue_bytes", [&] {
+    return static_cast<double>(topo.sw->EgressQueueBytes(k, kDataPriority));
   });
-  mon.Start();
+  probes.Start();
   net.RunFor(Milliseconds(10));
   Bytes before = 0;
   for (int i = 0; i < k; ++i) {
@@ -47,7 +48,7 @@ Result Run(double timer_jitter, double pacing_jitter, int k) {
   for (int i = 0; i < k; ++i) {
     after += topo.hosts[static_cast<size_t>(k)]->ReceiverDeliveredBytes(i);
   }
-  const Cdf q = mon.ToCdf(Milliseconds(10));
+  const Cdf q = probes.ToCdf(queue, Milliseconds(10));
   return Result{q.Quantile(0.5) / 1e3, q.Quantile(0.9) / 1e3,
                 static_cast<double>(after - before) * 8 / 20e-3 / 1e9};
 }

@@ -9,6 +9,7 @@
 #include "hybrid/engine.h"
 #include "net/shard.h"
 #include "telemetry/probes.h"
+#include "workload/pairs.h"
 #include "workload/sim_host.h"
 #include "workload/verbs_host.h"
 #include "workload/workload.h"
@@ -16,14 +17,6 @@
 namespace dcqcn {
 namespace bench {
 namespace {
-
-std::vector<RdmaNic*> AllHosts(const ClosTopology& t) {
-  std::vector<RdmaNic*> hosts;
-  for (const auto& per_tor : t.hosts_by_tor) {
-    hosts.insert(hosts.end(), per_tor.begin(), per_tor.end());
-  }
-  return hosts;
-}
 
 // Starts a closed-loop transfer stream: `bytes` messages back-to-back on one
 // warm QP; every completion is recorded into `out` (goodput, Gbps) and the
@@ -190,13 +183,13 @@ TrafficResult RunBenchmarkTraffic(TransportMode mode, int incast_degree,
                                   const TopologyOptions& topo_opts) {
   Network net(seed);
   ClosTopology topo = BuildClos(net, 5, topo_opts);
-  BenchmarkTrafficOptions opt;
+  workload::PairsOptions opt;
   opt.num_pairs = num_pairs;
   opt.incast_degree = incast_degree;
-  opt.mode = mode;
   opt.seed = seed;
-  BenchmarkTraffic traffic(net, AllHosts(topo), opt);
-  traffic.Begin();
+  workload::PairsPattern traffic(opt);
+  workload::SimWorkloadHost host(net, topo.AllHosts(), mode);
+  host.Begin(traffic);
   net.RunFor(duration);
 
   TrafficResult res;
@@ -287,7 +280,7 @@ runner::TrialSpec ScaleTrial(const ScaleCase& c,
           ctx.hybrid == "on" ? "" : ctx.hybrid, &hcfg));
       hyb.emplace(&net, hcfg, ctx.faults);
     }
-    const std::vector<RdmaNic*> hosts = AllHosts(topo);
+    const std::vector<RdmaNic*> hosts = topo.AllHosts();
     if (!retain_flow_records) {
       for (RdmaNic* h : hosts) h->SetRetainCompletedRecords(false);
     }
@@ -429,15 +422,6 @@ runner::TrialSpec ScaleTrial(const ScaleCase& c,
     return r;
   };
   return spec;
-}
-
-runner::TrialSpec ScaleTrial(const ScaleCase& c,
-                             std::vector<double>* wall_seconds,
-                             runner::CcSelection cc) {
-  ScaleTrialOptions opt;
-  opt.cc = cc;
-  opt.wall_seconds = wall_seconds;
-  return ScaleTrial(c, opt);
 }
 
 void StartGreedyFlow(Network& net, RdmaNic* src, RdmaNic* dst, int flow_id,

@@ -15,7 +15,6 @@
 #include "net/topology.h"
 #include "runner/runner.h"
 #include "stats/stats.h"
-#include "workload/pairs.h"
 
 namespace dcqcn {
 namespace bench {
@@ -166,11 +165,6 @@ struct ScaleTrialOptions {
 // the spec carries a plan.
 runner::TrialSpec ScaleTrial(const ScaleCase& c,
                              const ScaleTrialOptions& opt);
-
-// Back-compat shorthand for the cc-only composition.
-runner::TrialSpec ScaleTrial(
-    const ScaleCase& c, std::vector<double>* wall_seconds,
-    runner::CcSelection cc = {TransportMode::kRdmaDcqcn, -1});
 
 // Convenience quantile printers.
 inline double Q(const Cdf& c, double p) {

@@ -96,10 +96,7 @@ runner::TrialSpec HostPathTrial(const HostPathCase& c, Time duration,
     TopologyOptions topt = bench::CcTopo(cc.mode);
     topt.nic_config.host_path = host_cfg;
     const ClosTopology topo = BuildClos(net, shape, topt);
-    std::vector<RdmaNic*> hosts;
-    for (const auto& per_tor : topo.hosts_by_tor) {
-      hosts.insert(hosts.end(), per_tor.begin(), per_tor.end());
-    }
+    const std::vector<RdmaNic*> hosts = topo.AllHosts();
 
     std::unique_ptr<workload::WorkloadPattern> pattern =
         workload::CreateWorkloadPattern(

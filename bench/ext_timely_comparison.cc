@@ -16,7 +16,7 @@
 
 #include "bench/common.h"
 #include "runner/runner.h"
-#include "stats/monitor.h"
+#include "telemetry/probes.h"
 
 using namespace dcqcn;
 
@@ -29,15 +29,16 @@ void Incast(const runner::CcSelection& cc, const char* label) {
     bench::StartGreedyFlow(net, topo.hosts[static_cast<size_t>(i)],
                            topo.hosts[8], i, cc);
   }
-  QueueMonitor mon(&net.eq(), Microseconds(20), [&] {
-    return topo.sw->EgressQueueBytes(8, kDataPriority);
+  telemetry::ProbeSet probes(&net.eq(), Microseconds(20));
+  const size_t queue = probes.AddGauge("queue_bytes", [&] {
+    return static_cast<double>(topo.sw->EgressQueueBytes(8, kDataPriority));
   });
-  mon.Start();
+  probes.Start();
   net.RunFor(Milliseconds(10));
   const Bytes before = bench::DeliveredSum(topo.hosts[8], 8);
   net.RunFor(Milliseconds(20));
   const Bytes after = bench::DeliveredSum(topo.hosts[8], 8);
-  const Cdf q = mon.ToCdf(Milliseconds(10));
+  const Cdf q = probes.ToCdf(queue, Milliseconds(10));
   std::printf("  %-7s queue p50 %7.1f KB  p90 %7.1f KB   total %6.2f "
               "Gbps\n",
               label, q.Quantile(0.5) / 1e3, q.Quantile(0.9) / 1e3,

@@ -71,10 +71,7 @@ runner::TrialSpec WorkloadTrial(const WorkloadCase& c, Time duration,
     TopologyOptions topt = bench::CcTopo(cc.mode);
     topt.nic_config.host_path = host_cfg;
     const ClosTopology topo = BuildClos(net, shape, topt);
-    std::vector<RdmaNic*> hosts;
-    for (const auto& per_tor : topo.hosts_by_tor) {
-      hosts.insert(hosts.end(), per_tor.begin(), per_tor.end());
-    }
+    const std::vector<RdmaNic*> hosts = topo.AllHosts();
 
     // Pattern randomness comes from a stream distinct from the network's
     // own (RED marking etc.), derived from the per-trial seed.

@@ -9,7 +9,7 @@
 
 #include "fluid/fluid_model.h"
 #include "net/topology.h"
-#include "stats/monitor.h"
+#include "telemetry/probes.h"
 
 using namespace dcqcn;
 
@@ -31,9 +31,10 @@ int main() {
     f.mode = TransportMode::kRdmaDcqcn;
     net.StartFlow(f);
   }
-  FlowRateMonitor mon(&net.eq(), kSample);
-  mon.Track("flow2", [&] { return topo.hosts[2]->ReceiverDeliveredBytes(1); });
-  mon.Start();
+  telemetry::ProbeSet probes(&net.eq(), kSample);
+  const size_t flow2 = probes.AddRate(
+      "flow2", [&] { return topo.hosts[2]->ReceiverDeliveredBytes(1); });
+  probes.Start();
   net.RunFor(kEnd);
 
   // --- fluid model ---
@@ -47,7 +48,7 @@ int main() {
   std::printf("%8s %14s %12s\n", "t(ms)", "implementation", "fluid");
   double sq_err = 0;
   int n = 0;
-  const auto& series = mon.Series(0);
+  const auto& series = probes.Series(flow2);
   for (const auto& [t, sim_rate] : series.points) {
     fm.RunUntil(ToSeconds(t));
     const double fluid_rate = fm.flow(1).active ? fm.FlowRateGbps(1) : 0.0;

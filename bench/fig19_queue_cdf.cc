@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "net/topology.h"
-#include "stats/monitor.h"
+#include "telemetry/probes.h"
 
 using namespace dcqcn;
 
@@ -28,12 +28,14 @@ Cdf RunIncast(TransportMode mode, const RedEcnConfig& red, int degree) {
     f.mode = mode;
     net.StartFlow(f);
   }
-  QueueMonitor mon(&net.eq(), Microseconds(10), [&] {
-    return topo.sw->EgressQueueBytes(degree, kDataPriority);
+  telemetry::ProbeSet probes(&net.eq(), Microseconds(10));
+  const size_t queue = probes.AddGauge("queue_bytes", [&] {
+    return static_cast<double>(
+        topo.sw->EgressQueueBytes(degree, kDataPriority));
   });
-  mon.Start();
+  probes.Start();
   net.RunFor(Milliseconds(40));
-  return mon.ToCdf(Milliseconds(10));  // skip the start-up transient
+  return probes.ToCdf(queue, Milliseconds(10));  // skip the start-up transient
 }
 
 }  // namespace

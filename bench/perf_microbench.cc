@@ -18,6 +18,7 @@
 #include "runner/runner.h"
 #include "sim/event_queue.h"
 #include "workload/poisson.h"
+#include "workload/sim_host.h"
 
 namespace dcqcn {
 namespace {
@@ -318,10 +319,7 @@ void BM_FlowChurn(benchmark::State& state) {
     net.reset();
     net = std::make_unique<Network>(1);
     const ClosTopology topo = BuildClos(*net, shape, TopologyOptions{});
-    hosts.clear();
-    for (const auto& per_tor : topo.hosts_by_tor) {
-      hosts.insert(hosts.end(), per_tor.begin(), per_tor.end());
-    }
+    hosts = topo.AllHosts();
     for (RdmaNic* nic : hosts) nic->SetRetainCompletedRecords(false);
     net->AddCompletionHandler([&completed](const FlowRecord&) {
       ++completed;
@@ -369,10 +367,7 @@ void BM_LargeClosThroughput(benchmark::State& state) {
   shape.hosts_per_tor = 16;
   Network net(1);
   const ClosTopology topo = BuildClos(net, shape, TopologyOptions{});
-  std::vector<RdmaNic*> hosts;
-  for (const auto& per_tor : topo.hosts_by_tor) {
-    hosts.insert(hosts.end(), per_tor.begin(), per_tor.end());
-  }
+  const std::vector<RdmaNic*> hosts = topo.AllHosts();
   const int n = static_cast<int>(hosts.size());
   const int hpt = shape.hosts_per_tor;
   Rng traffic(7);
@@ -418,10 +413,7 @@ void BM_LargeClosShardedThroughput(benchmark::State& state) {
   const ShardPlan plan = MakeClosShardPlan(shape, shards);
   Network net(1, plan);
   const ClosTopology topo = BuildClos(net, shape, TopologyOptions{});
-  std::vector<RdmaNic*> hosts;
-  for (const auto& per_tor : topo.hosts_by_tor) {
-    hosts.insert(hosts.end(), per_tor.begin(), per_tor.end());
-  }
+  const std::vector<RdmaNic*> hosts = topo.AllHosts();
   const int n = static_cast<int>(hosts.size());
   const int hpt = shape.hosts_per_tor;
   Rng traffic(7);

@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "net/topology.h"
-#include "stats/monitor.h"
+#include "telemetry/probes.h"
 
 using namespace dcqcn;
 
@@ -64,17 +64,17 @@ void Run(const DcqcnParams& params, const char* label) {
     net.StartFlow(*f);
   }
 
-  FlowRateMonitor mon(&net.eq(), Milliseconds(1));
-  mon.Track("f1", [&] { return r1->ReceiverDeliveredBytes(1); });
-  mon.Track("f2", [&] { return r2->ReceiverDeliveredBytes(2); });
-  mon.Track("f3", [&] { return r2->ReceiverDeliveredBytes(3); });
-  mon.Start();
+  telemetry::ProbeSet probes(&net.eq(), Milliseconds(1));
+  probes.AddRate("f1", [&] { return r1->ReceiverDeliveredBytes(1); });
+  probes.AddRate("f2", [&] { return r2->ReceiverDeliveredBytes(2); });
+  probes.AddRate("f3", [&] { return r2->ReceiverDeliveredBytes(3); });
+  probes.Start();
   net.RunFor(Milliseconds(150));
 
   const Time from = Milliseconds(75), to = Milliseconds(150);
   std::printf("%-28s f1=%5.2f  f2=%5.2f  f3=%5.2f Gbps  (max-min fair: 20)\n",
-              label, mon.MeanGbps(0, from, to), mon.MeanGbps(1, from, to),
-              mon.MeanGbps(2, from, to));
+              label, probes.MeanOver(0, from, to),
+              probes.MeanOver(1, from, to), probes.MeanOver(2, from, to));
 }
 
 }  // namespace

@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "net/topology.h"
-#include "stats/monitor.h"
+#include "telemetry/probes.h"
 
 using namespace dcqcn;
 
@@ -37,13 +37,17 @@ int main() {
     net.StartFlow(f);
   }
 
-  // Sample each flow's goodput and the bottleneck queue every millisecond.
-  FlowRateMonitor rates(&net.eq(), Milliseconds(1));
-  rates.Track("flow0", [&] { return topo.hosts[2]->ReceiverDeliveredBytes(0); });
-  rates.Track("flow1", [&] { return topo.hosts[2]->ReceiverDeliveredBytes(1); });
+  // Sample each flow's goodput every millisecond and the bottleneck queue
+  // every 50 us.
+  telemetry::ProbeSet rates(&net.eq(), Milliseconds(1));
+  rates.AddRate("flow0",
+                [&] { return topo.hosts[2]->ReceiverDeliveredBytes(0); });
+  rates.AddRate("flow1",
+                [&] { return topo.hosts[2]->ReceiverDeliveredBytes(1); });
   rates.Start();
-  QueueMonitor queue(&net.eq(), Microseconds(50), [&] {
-    return topo.sw->EgressQueueBytes(2, kDataPriority);
+  telemetry::ProbeSet queue(&net.eq(), Microseconds(50));
+  queue.AddGauge("queue_bytes", [&] {
+    return static_cast<double>(topo.sw->EgressQueueBytes(2, kDataPriority));
   });
   queue.Start();
 
@@ -56,7 +60,7 @@ int main() {
     std::printf("%7.1f  %11.2f  %11.2f\n", ToMilliseconds(s0.points[i].first),
                 s0.points[i].second, s1.points[i].second);
   }
-  Cdf qcdf = queue.ToCdf(Milliseconds(5));
+  Cdf qcdf = queue.ToCdf(0, Milliseconds(5));
   std::printf("\nbottleneck queue: median=%.1f KB  p90=%.1f KB  max=%.1f KB\n",
               qcdf.Quantile(0.5) / 1e3, qcdf.Quantile(0.9) / 1e3,
               qcdf.Quantile(1.0) / 1e3);

@@ -6,15 +6,13 @@
 //     --hosts=N                 hosts (star) or hosts-per-ToR (clos), def 5
 //     --cc=POLICY               congestion control: any registered CcPolicy
 //                               name (raw|dcqcn|dctcp|qcn|timely|...),
-//                               default dcqcn. --mode= is a legacy alias.
-//     --incast=K                disk-rebuild incast degree (default 8)
-//     --pairs=P                 closed-loop user pairs (default 12)
-//     --poisson=GBPS            extra open-loop Poisson load (default 0)
-//     --workload=SPEC           replace the default pairs+poisson drivers
-//                               with a registered WorkloadPattern,
+//                               default dcqcn
+//     --workload=SPEC           traffic: a registered WorkloadPattern,
 //                               NAME[:key=val,...] (e.g. incast:fanin=16 or
 //                               allreduce-ring:nodes=8,kb=4096); composes
-//                               with --cc
+//                               with --cc. Default: the §6.2 storage
+//                               backend, pairs:pairs=12,incast=K with
+//                               K = min(8, host count - 1)
 //     --host=SPEC               attach the host-path device model to every
 //                               NIC and route --workload emission through
 //                               it, PROFILE[:key=val,...] (e.g. default or
@@ -27,7 +25,8 @@
 //     --ms=D                    simulated milliseconds (default 30)
 //     --seed=S                  RNG seed (default 1)
 //     --no-pfc                  disable PFC (lossy fabric)
-//     --storm-host=IDX          babbling NIC: host IDX emits a PAUSE storm
+//     --storm-host=IDX          babbling NIC: host IDX (< host count) emits
+//                               a PAUSE storm
 //     --storm-ms=D              storm duration (default 5, with --storm-host)
 //     --trace=PATH              dump a Chrome/Perfetto trace of the run
 //
@@ -42,9 +41,11 @@
 // and the report grows a pause-storm section: alarms raised and per-switch
 // paused-time totals.
 //
-// Prints a one-screen report: goodput distributions, PAUSE/drop counters,
-// and per-switch ECN activity. A compact way to explore the system without
-// writing code — exercises the whole public API via the umbrella header.
+// Prints a one-screen report: workload completions and goodput / FCT
+// distributions, then the fabric's PAUSE, ECN-mark and drop totals. A
+// compact way to explore the system without writing code — exercises the
+// whole public API via the umbrella header.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -60,11 +61,8 @@ namespace {
 struct Args {
   std::string topo = "clos";
   int hosts = 5;
-  std::string mode = "dcqcn";
-  int incast = 8;
-  int pairs = 12;
-  double poisson_gbps = 0;
-  std::string workload;  // empty = default pairs+poisson drivers
+  std::string cc = "dcqcn";
+  std::string workload;  // empty = the default storage-backend pairs spec
   std::string host;      // empty = no host-path device model
   int shards = 0;        // 0 = default engine; >= 1 = sharded engine
   int ms = 30;
@@ -86,16 +84,8 @@ bool Parse(int argc, char** argv, Args* a) {
       a->topo = v;
     } else if (const char* v = val("--hosts=")) {
       a->hosts = std::atoi(v);
-    } else if (const char* v = val("--mode=")) {
-      a->mode = v;  // legacy alias for --cc
     } else if (const char* v = val("--cc=")) {
-      a->mode = v;
-    } else if (const char* v = val("--incast=")) {
-      a->incast = std::atoi(v);
-    } else if (const char* v = val("--pairs=")) {
-      a->pairs = std::atoi(v);
-    } else if (const char* v = val("--poisson=")) {
-      a->poisson_gbps = std::atof(v);
+      a->cc = v;
     } else if (const char* v = val("--workload=")) {
       a->workload = v;
     } else if (const char* v = val("--host=")) {
@@ -142,9 +132,9 @@ int main(int argc, char** argv) {
   Args args;
   if (!Parse(argc, argv, &args)) return 1;
 
-  // Factory lookup: --cc / --mode name the CcPolicy; its registration also
-  // fixes the wire behavior (TransportMode) its flows ride on.
-  const int16_t cc_policy = CcPolicyIdByName(args.mode);
+  // Factory lookup: --cc names the CcPolicy; its registration also fixes
+  // the wire behavior (TransportMode) its flows ride on.
+  const int16_t cc_policy = CcPolicyIdByName(args.cc);
   if (cc_policy < 0) {
     std::string names;
     for (const std::string& n : CcPolicyNames()) {
@@ -152,7 +142,7 @@ int main(int argc, char** argv) {
       names += n;
     }
     std::fprintf(stderr, "unknown --cc policy '%s' (registered: %s)\n",
-                 args.mode.c_str(), names.c_str());
+                 args.cc.c_str(), names.c_str());
     return 1;
   }
   const TransportMode cc_mode = CcPolicyInfoById(cc_policy).mode;
@@ -229,72 +219,57 @@ int main(int argc, char** argv) {
     hosts = topo.hosts;
   } else {
     ClosTopology topo = BuildClos(net, args.hosts, opt);
-    for (const auto& per_tor : topo.hosts_by_tor) {
-      hosts.insert(hosts.end(), per_tor.begin(), per_tor.end());
-    }
+    hosts = topo.AllHosts();
     spines = topo.spines;
   }
 
-  BenchmarkTrafficOptions bopt;
-  bopt.num_pairs = args.pairs;
-  bopt.incast_degree =
-      std::min<int>(args.incast, static_cast<int>(hosts.size()) - 1);
-  bopt.mode = cc_mode;
-  bopt.cc_policy = cc_policy;
-  bopt.seed = args.seed;
-  std::unique_ptr<BenchmarkTraffic> traffic;
-  std::unique_ptr<PoissonArrivals> poisson;
-  std::unique_ptr<workload::WorkloadPattern> wl_pattern;
+  if (args.storm_host >= static_cast<int>(hosts.size())) {
+    std::fprintf(stderr, "--storm-host=%d: no such host (%zu hosts)\n",
+                 args.storm_host, hosts.size());
+    return 1;
+  }
+
+  // One traffic path: a registered pattern over every host, flows stamped
+  // with the --cc policy. The default is the §6.2 storage backend, its
+  // incast clamped so small fabrics still have a receiver to spare.
+  if (args.workload.empty()) {
+    args.workload =
+        "pairs:pairs=12,incast=" +
+        std::to_string(std::min(8, static_cast<int>(hosts.size()) - 1));
+  }
+  const workload::WorkloadSpec spec =
+      workload::ParseWorkloadSpec(args.workload);
+  if (!spec.ok || workload::WorkloadPatternIdByName(spec.name) < 0) {
+    std::string names;
+    for (const std::string& n : workload::WorkloadPatternNames()) {
+      if (!names.empty()) names += ", ";
+      names += n;
+    }
+    std::fprintf(stderr, "bad --workload '%s'%s%s (registered: %s)\n",
+                 args.workload.c_str(), spec.ok ? "" : ": ",
+                 spec.ok ? "" : spec.error.c_str(), names.c_str());
+    return 1;
+  }
+  const std::unique_ptr<workload::WorkloadPattern> pattern =
+      workload::CreateWorkloadPattern(spec, args.seed);
   std::unique_ptr<workload::SimWorkloadHost> wl_host;
   std::unique_ptr<workload::VerbsWorkloadHost> verbs_host;
   const workload::WorkloadMetrics* wl_metrics = nullptr;
-  if (!args.workload.empty()) {
-    // Registry-driven traffic: any --workload pattern over the same hosts,
-    // flows stamped with the --cc policy.
-    const workload::WorkloadSpec spec =
-        workload::ParseWorkloadSpec(args.workload);
-    if (!spec.ok || workload::WorkloadPatternIdByName(spec.name) < 0) {
-      std::string names;
-      for (const std::string& n : workload::WorkloadPatternNames()) {
-        if (!names.empty()) names += ", ";
-        names += n;
-      }
-      std::fprintf(stderr, "bad --workload '%s'%s%s (registered: %s)\n",
-                   args.workload.c_str(), spec.ok ? "" : ": ",
-                   spec.ok ? "" : spec.error.c_str(), names.c_str());
-      return 1;
-    }
-    wl_pattern = workload::CreateWorkloadPattern(spec, args.seed);
-    if (host_cfg.enabled) {
-      verbs_host = std::make_unique<workload::VerbsWorkloadHost>(
-          net, hosts, cc_mode, cc_policy);
-      verbs_host->Begin(*wl_pattern);
-      wl_metrics = &verbs_host->metrics();
-    } else {
-      wl_host = std::make_unique<workload::SimWorkloadHost>(net, hosts,
-                                                            cc_mode,
-                                                            cc_policy);
-      wl_host->Begin(*wl_pattern);
-      wl_metrics = &wl_host->metrics();
-    }
+  if (host_cfg.enabled) {
+    verbs_host = std::make_unique<workload::VerbsWorkloadHost>(
+        net, hosts, cc_mode, cc_policy);
+    verbs_host->Begin(*pattern);
+    wl_metrics = &verbs_host->metrics();
   } else {
-    traffic = std::make_unique<BenchmarkTraffic>(net, hosts, bopt);
-    traffic->Begin();
-    if (args.poisson_gbps > 0) {
-      PoissonArrivalOptions popt;
-      popt.offered_load = Gbps(args.poisson_gbps);
-      popt.mode = cc_mode;
-      popt.cc_policy = cc_policy;
-      popt.seed = args.seed + 1;
-      poisson = std::make_unique<PoissonArrivals>(net, hosts, popt);
-      poisson->Begin();
-    }
+    wl_host = std::make_unique<workload::SimWorkloadHost>(net, hosts, cc_mode,
+                                                          cc_policy);
+    wl_host->Begin(*pattern);
+    wl_metrics = &wl_host->metrics();
   }
 
   std::unique_ptr<FaultInjector> injector;
   std::unique_ptr<PauseStormDetector> detector;
-  if (args.storm_host >= 0 &&
-      args.storm_host < static_cast<int>(hosts.size())) {
+  if (args.storm_host >= 0) {
     FaultPlan plan;
     plan.Add(PauseStorm(hosts[static_cast<size_t>(args.storm_host)]->id(),
                         kDataPriority,
@@ -310,60 +285,46 @@ int main(int argc, char** argv) {
 
   net.RunFor(static_cast<Time>(args.ms) * kMillisecond);
 
-  if (wl_metrics != nullptr) {
-    const workload::WorkloadMetrics& m = *wl_metrics;
-    std::printf("scenario: %s, %zu hosts, mode=%s, workload=%s, ",
-                args.topo.c_str(), hosts.size(), args.mode.c_str(),
-                args.workload.c_str());
-    if (host_cfg.enabled) std::printf("host=%s, ", args.host.c_str());
-    std::printf("%d ms, pfc=%s", args.ms, args.pfc ? "on" : "OFF");
-    if (net.sharded()) std::printf(", shards=%d", net.num_shards());
-    std::printf("\n\n");
-    std::printf("workload: started %lld, completed %lld, in flight %lld, "
-                "skipped %lld\n",
-                static_cast<long long>(m.started),
-                static_cast<long long>(m.completed),
-                static_cast<long long>(m.in_flight),
-                static_cast<long long>(m.skipped));
-    PrintCdf("goodput (Gbps)", m.goodput_gbps);
-    PrintCdf("fct (us)", m.fct_us);
-    PrintCdf("fct slowdown", m.slowdown);
-    PrintCdf("iteration (us)", m.iteration_us);
-    if (host_cfg.enabled) {
-      // Host-path totals across all NICs (per-node detail is in the
-      // host.* telemetry namespace).
-      int64_t posted = 0, doorbells = 0, stalls = 0, qp_miss = 0, qp_look = 0;
-      for (RdmaNic* h : hosts) {
-        const host::HostPathDevice* d = h->host_path();
-        posted += d->stats().wr_posted;
-        doorbells += d->stats().doorbells;
-        stalls += d->stats().sq_stalls;
-        qp_miss += d->qp_cache().misses();
-        qp_look += d->qp_cache().lookups();
-      }
-      std::printf("host path: posted %lld, doorbells %lld, sq stalls %lld, "
-                  "qp-cache miss %.1f%% (%lld/%lld)\n",
-                  static_cast<long long>(posted),
-                  static_cast<long long>(doorbells),
-                  static_cast<long long>(stalls),
-                  qp_look > 0 ? 100.0 * static_cast<double>(qp_miss) /
-                                    static_cast<double>(qp_look)
-                              : 0.0,
-                  static_cast<long long>(qp_miss),
-                  static_cast<long long>(qp_look));
+  const workload::WorkloadMetrics& m = *wl_metrics;
+  std::printf("scenario: %s, %zu hosts, cc=%s, workload=%s, ",
+              args.topo.c_str(), hosts.size(), args.cc.c_str(),
+              args.workload.c_str());
+  if (host_cfg.enabled) std::printf("host=%s, ", args.host.c_str());
+  std::printf("%d ms, pfc=%s", args.ms, args.pfc ? "on" : "OFF");
+  if (net.sharded()) std::printf(", shards=%d", net.num_shards());
+  std::printf("\n\n");
+  std::printf("workload: started %lld, completed %lld, in flight %lld, "
+              "skipped %lld\n",
+              static_cast<long long>(m.started),
+              static_cast<long long>(m.completed),
+              static_cast<long long>(m.in_flight),
+              static_cast<long long>(m.skipped));
+  PrintCdf("goodput (Gbps)", m.goodput_gbps);
+  PrintCdf("fct (us)", m.fct_us);
+  PrintCdf("fct slowdown", m.slowdown);
+  PrintCdf("iteration (us)", m.iteration_us);
+  if (host_cfg.enabled) {
+    // Host-path totals across all NICs (per-node detail is in the host.*
+    // telemetry namespace).
+    int64_t posted = 0, doorbells = 0, stalls = 0, qp_miss = 0, qp_look = 0;
+    for (RdmaNic* h : hosts) {
+      const host::HostPathDevice* d = h->host_path();
+      posted += d->stats().wr_posted;
+      doorbells += d->stats().doorbells;
+      stalls += d->stats().sq_stalls;
+      qp_miss += d->qp_cache().misses();
+      qp_look += d->qp_cache().lookups();
     }
-  } else {
-    std::printf("scenario: %s, %zu hosts, mode=%s, incast=%d, pairs=%d, "
-                "poisson=%.0fG, %d ms, pfc=%s",
-                args.topo.c_str(), hosts.size(), args.mode.c_str(),
-                bopt.incast_degree, args.pairs, args.poisson_gbps, args.ms,
-                args.pfc ? "on" : "OFF");
-    if (net.sharded()) std::printf(", shards=%d", net.num_shards());
-    std::printf("\n\n");
-    std::printf("goodput (Gbps):\n");
-    PrintCdf("user transfers", traffic->user_goodput());
-    PrintCdf("incast chunks", traffic->incast_goodput());
-    if (poisson) PrintCdf("poisson flows", poisson->goodput());
+    std::printf("host path: posted %lld, doorbells %lld, sq stalls %lld, "
+                "qp-cache miss %.1f%% (%lld/%lld)\n",
+                static_cast<long long>(posted),
+                static_cast<long long>(doorbells),
+                static_cast<long long>(stalls),
+                qp_look > 0 ? 100.0 * static_cast<double>(qp_miss) /
+                                  static_cast<double>(qp_look)
+                            : 0.0,
+                static_cast<long long>(qp_miss),
+                static_cast<long long>(qp_look));
   }
 
   int64_t marks = 0;

@@ -12,30 +12,23 @@
 
 #include "net/topology.h"
 #include "workload/pairs.h"
+#include "workload/sim_host.h"
 
 using namespace dcqcn;
 
 namespace {
 
-std::vector<RdmaNic*> AllHosts(const ClosTopology& t) {
-  std::vector<RdmaNic*> hosts;
-  for (const auto& per_tor : t.hosts_by_tor) {
-    hosts.insert(hosts.end(), per_tor.begin(), per_tor.end());
-  }
-  return hosts;
-}
-
 void RunOnce(TransportMode mode, int incast_degree, int pairs) {
   Network net(/*seed=*/2026);
   ClosTopology topo = BuildClos(net, /*hosts_per_tor=*/5, TopologyOptions{});
 
-  BenchmarkTrafficOptions opt;
+  workload::PairsOptions opt;
   opt.num_pairs = pairs;
   opt.incast_degree = incast_degree;
-  opt.mode = mode;
   opt.seed = 7;
-  BenchmarkTraffic traffic(net, AllHosts(topo), opt);
-  traffic.Begin();
+  workload::PairsPattern traffic(opt);
+  workload::SimWorkloadHost host(net, topo.AllHosts(), mode);
+  host.Begin(traffic);
   net.RunFor(Milliseconds(40));
 
   int64_t spine_pauses = 0;

@@ -84,6 +84,15 @@ struct ClosTopology {
   RdmaNic* host(int tor, int idx) const {
     return hosts_by_tor[static_cast<size_t>(tor)][static_cast<size_t>(idx)];
   }
+
+  // Every host, ToR-major: the host universe workload patterns index.
+  std::vector<RdmaNic*> AllHosts() const {
+    std::vector<RdmaNic*> hosts;
+    for (const auto& per_tor : hosts_by_tor) {
+      hosts.insert(hosts.end(), per_tor.begin(), per_tor.end());
+    }
+    return hosts;
+  }
 };
 
 // Paper-shape Clos (ClosShape defaults) with `hosts_per_tor` servers per ToR.

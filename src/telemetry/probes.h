@@ -1,10 +1,10 @@
 // Registry-driven periodic samplers.
 //
-// ProbeSet generalizes the two hand-rolled monitors the benches grew
-// (FlowRateMonitor, QueueMonitor) into one scheduler: N named probes, one
-// shared period, one repeating event. Each probe is either a gauge (sample
-// the probe function directly — queue depth) or a rate (sample a cumulative
-// byte counter and convert the per-period delta to Gbps — flow goodput).
+// ProbeSet is the one periodic sampler the benches, examples and tests use:
+// N named probes, one shared period, one repeating event. Each probe is
+// either a gauge (sample the probe function directly — queue depth) or a
+// rate (sample a cumulative byte counter and convert the per-period delta to
+// Gbps — flow goodput).
 // Results land in per-probe TimeSeries and can be exported into a
 // MetricRegistry as histograms of the settled tail.
 #pragma once

@@ -93,10 +93,5 @@ void PairsPattern::OnFlowComplete(WorkloadHost& host, const FlowRecord& rec,
   }
 }
 
-BenchmarkTraffic::BenchmarkTraffic(Network& net, std::vector<RdmaNic*> hosts,
-                                   const BenchmarkTrafficOptions& opts)
-    : host_(net, std::move(hosts), opts.mode, opts.cc_policy),
-      pattern_(ToPatternOptions(opts)) {}
-
 }  // namespace workload
 }  // namespace dcqcn

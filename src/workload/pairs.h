@@ -1,8 +1,6 @@
 // The §6.2 benchmark-traffic generator as a WorkloadPattern
-// (`--workload=pairs`), migrated from the former src/trace/workload.{h,cc}
-// BenchmarkTraffic driver. RNG draw order is preserved exactly, so the
-// default output of the fig15-18 benches is byte-identical to pre-migration
-// binaries (pinned by the golden baselines).
+// (`--workload=pairs`), driven through a SimWorkloadHost like every pattern.
+// Its RNG draw order is pinned by the fig15-18 golden baselines.
 //
 // Models the backend network of a cloud storage service:
 //
@@ -29,7 +27,6 @@
 
 #include "common/rng.h"
 #include "trace/distributions.h"
-#include "workload/sim_host.h"
 #include "workload/workload.h"
 
 namespace dcqcn {
@@ -96,56 +93,5 @@ class PairsPattern : public WorkloadPattern {
   int64_t incast_transfers_ = 0;
 };
 
-// Compatibility adapter keeping the pre-migration driver API: owns a
-// SimWorkloadHost + PairsPattern pair and forwards the old accessors.
-struct BenchmarkTrafficOptions {
-  int num_pairs = 20;
-  int incast_degree = 0;
-  Bytes incast_flow_bytes = 4000 * kKB;
-  TransportMode mode = TransportMode::kRdmaDcqcn;
-  // CcPolicy id stamped on every generated flow (-1 = default for mode).
-  int16_t cc_policy = -1;
-  double size_scale = 1.0;
-  Time pair_think_time = Milliseconds(1);
-  uint64_t seed = 1;
-};
-
-class BenchmarkTraffic {
- public:
-  // `hosts` is the candidate host set (e.g. all Clos hosts). Endpoints are
-  // drawn with the option seed, independent of the network-wide RNG.
-  BenchmarkTraffic(Network& net, std::vector<RdmaNic*> hosts,
-                   const BenchmarkTrafficOptions& opts);
-
-  // Launches all drivers at the current simulation time.
-  void Begin() { host_.Begin(pattern_); }
-
-  const Cdf& user_goodput() const { return pattern_.user_goodput(); }
-  const Cdf& incast_goodput() const { return pattern_.incast_goodput(); }
-  int64_t user_transfers() const { return pattern_.user_transfers(); }
-  int64_t incast_transfers() const { return pattern_.incast_transfers(); }
-
- private:
-  static PairsOptions ToPatternOptions(const BenchmarkTrafficOptions& o) {
-    PairsOptions p;
-    p.num_pairs = o.num_pairs;
-    p.incast_degree = o.incast_degree;
-    p.incast_flow_bytes = o.incast_flow_bytes;
-    p.size_scale = o.size_scale;
-    p.pair_think_time = o.pair_think_time;
-    p.seed = o.seed;
-    return p;
-  }
-
-  SimWorkloadHost host_;
-  PairsPattern pattern_;
-};
-
 }  // namespace workload
-
-// The driver predates the workload namespace; existing call sites use the
-// dcqcn:: names.
-using workload::BenchmarkTraffic;
-using workload::BenchmarkTrafficOptions;
-
 }  // namespace dcqcn

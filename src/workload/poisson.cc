@@ -45,10 +45,5 @@ void PoissonPattern::LaunchOne(WorkloadHost& host) {
   host.LaunchFlow(e);
 }
 
-PoissonArrivals::PoissonArrivals(Network& net, std::vector<RdmaNic*> hosts,
-                                 const PoissonArrivalOptions& opts)
-    : host_(net, std::move(hosts), opts.mode, opts.cc_policy),
-      pattern_(ToPatternOptions(opts)) {}
-
 }  // namespace workload
 }  // namespace dcqcn

@@ -12,7 +12,6 @@
 
 #include "common/rng.h"
 #include "trace/distributions.h"
-#include "workload/sim_host.h"
 #include "workload/workload.h"
 
 namespace dcqcn {
@@ -52,53 +51,5 @@ class PoissonPattern : public WorkloadPattern {
   Time mean_gap_ = 0;
 };
 
-// Compatibility adapter keeping the pre-migration driver API: owns a
-// SimWorkloadHost + PoissonPattern pair and forwards the old accessors.
-struct PoissonArrivalOptions {
-  Rate offered_load = Gbps(40);
-  TransportMode mode = TransportMode::kRdmaDcqcn;
-  // CcPolicy id stamped on every generated flow (-1 = default for mode).
-  int16_t cc_policy = -1;
-  double size_scale = 1.0;
-  uint64_t seed = 1;
-  int max_in_flight = 0;
-};
-
-class PoissonArrivals {
- public:
-  PoissonArrivals(Network& net, std::vector<RdmaNic*> hosts,
-                  const PoissonArrivalOptions& opts);
-
-  // Starts the arrival process at the current simulation time.
-  void Begin() { host_.Begin(pattern_); }
-
-  int64_t started() const { return host_.metrics().started; }
-  int64_t completed() const { return host_.metrics().completed; }
-  int64_t skipped_in_flight_cap() const { return host_.metrics().skipped; }
-  // Per-flow goodput (Gbps) and flow completion time (us).
-  const Cdf& goodput() const { return host_.metrics().goodput_gbps; }
-  const Cdf& fct_us() const { return host_.metrics().fct_us; }
-  Time mean_interarrival() const { return pattern_.mean_interarrival(); }
-
- private:
-  static PoissonOptions ToPatternOptions(const PoissonArrivalOptions& o) {
-    PoissonOptions p;
-    p.offered_load = o.offered_load;
-    p.size_scale = o.size_scale;
-    p.seed = o.seed;
-    p.max_in_flight = o.max_in_flight;
-    return p;
-  }
-
-  SimWorkloadHost host_;
-  PoissonPattern pattern_;
-};
-
 }  // namespace workload
-
-// The driver predates the workload namespace; existing call sites use the
-// dcqcn:: names.
-using workload::PoissonArrivalOptions;
-using workload::PoissonArrivals;
-
 }  // namespace dcqcn

@@ -1,4 +1,4 @@
-// Open-loop Poisson arrival driver tests.
+// Open-loop Poisson arrival pattern tests.
 #include "workload/poisson.h"
 
 #include <gtest/gtest.h>
@@ -7,117 +7,123 @@
 
 #include "net/topology.h"
 #include "workload/pairs.h"
+#include "workload/sim_host.h"
 
 namespace dcqcn {
 namespace {
 
-std::vector<RdmaNic*> AllHosts(const ClosTopology& t) {
-  std::vector<RdmaNic*> hosts;
-  for (const auto& per_tor : t.hosts_by_tor) {
-    hosts.insert(hosts.end(), per_tor.begin(), per_tor.end());
-  }
-  return hosts;
-}
+using workload::PoissonOptions;
+using workload::PoissonPattern;
+using workload::SimWorkloadHost;
 
-TEST(PoissonArrivals, RateMatchesOfferedLoad) {
+TEST(PoissonPattern, RateMatchesOfferedLoad) {
   Network net(1);
   auto topo = BuildClos(net, 5, TopologyOptions{});
-  PoissonArrivalOptions opt;
+  PoissonOptions opt;
   opt.offered_load = Gbps(40);
   opt.size_scale = 0.1;  // small flows so many complete
-  PoissonArrivals gen(net, AllHosts(topo), opt);
-  gen.Begin();
+  PoissonPattern gen(opt);
+  SimWorkloadHost host(net, topo.AllHosts(), TransportMode::kRdmaDcqcn);
+  host.Begin(gen);
   const Time dur = Milliseconds(20);
   net.RunFor(dur);
   // Expected arrivals = duration / mean gap; Poisson std is sqrt(n).
   const double expected =
       static_cast<double>(dur) / static_cast<double>(gen.mean_interarrival());
-  EXPECT_NEAR(static_cast<double>(gen.started()), expected,
+  EXPECT_NEAR(static_cast<double>(host.metrics().started), expected,
               4 * std::sqrt(expected) + 2);
 }
 
-TEST(PoissonArrivals, FlowsCompleteAtModerateLoad) {
+TEST(PoissonPattern, FlowsCompleteAtModerateLoad) {
   Network net(2);
   auto topo = BuildClos(net, 5, TopologyOptions{});
-  PoissonArrivalOptions opt;
+  PoissonOptions opt;
   opt.offered_load = Gbps(20);  // light for a 20-host fabric
   opt.size_scale = 0.1;
-  PoissonArrivals gen(net, AllHosts(topo), opt);
-  gen.Begin();
+  PoissonPattern gen(opt);
+  SimWorkloadHost host(net, topo.AllHosts(), TransportMode::kRdmaDcqcn);
+  host.Begin(gen);
   net.RunFor(Milliseconds(30));
-  EXPECT_GT(gen.completed(), 0);
+  const workload::WorkloadMetrics& m = host.metrics();
+  EXPECT_GT(m.completed, 0);
   // At light load nearly everything started early has finished.
-  EXPECT_GT(static_cast<double>(gen.completed()),
-            0.7 * static_cast<double>(gen.started()));
-  EXPECT_GT(gen.goodput().Quantile(0.5), 0.0);
-  EXPECT_GT(gen.fct_us().Quantile(0.5), 0.0);
+  EXPECT_GT(static_cast<double>(m.completed),
+            0.7 * static_cast<double>(m.started));
+  EXPECT_GT(m.goodput_gbps.Quantile(0.5), 0.0);
+  EXPECT_GT(m.fct_us.Quantile(0.5), 0.0);
 }
 
-TEST(PoissonArrivals, HigherLoadMoreArrivals) {
+TEST(PoissonPattern, HigherLoadMoreArrivals) {
   auto count = [](Rate load) {
     Network net(3);
     auto topo = BuildClos(net, 5, TopologyOptions{});
-    PoissonArrivalOptions opt;
+    PoissonOptions opt;
     opt.offered_load = load;
     opt.size_scale = 0.1;
-    PoissonArrivals gen(net, AllHosts(topo), opt);
-    gen.Begin();
+    PoissonPattern gen(opt);
+    SimWorkloadHost host(net, topo.AllHosts(), TransportMode::kRdmaDcqcn);
+    host.Begin(gen);
     net.RunFor(Milliseconds(10));
-    return gen.started();
+    return host.metrics().started;
   };
   EXPECT_GT(count(Gbps(80)), 2 * count(Gbps(20)));
 }
 
-TEST(PoissonArrivals, InFlightCapLimitsBacklog) {
+TEST(PoissonPattern, InFlightCapLimitsBacklog) {
   Network net(4);
   auto topo = BuildClos(net, 5, TopologyOptions{});
-  PoissonArrivalOptions opt;
+  PoissonOptions opt;
   opt.offered_load = Gbps(400);  // heavy overload
   opt.size_scale = 1.0;
   opt.max_in_flight = 10;
-  PoissonArrivals gen(net, AllHosts(topo), opt);
-  gen.Begin();
+  PoissonPattern gen(opt);
+  SimWorkloadHost host(net, topo.AllHosts(), TransportMode::kRdmaDcqcn);
+  host.Begin(gen);
   net.RunFor(Milliseconds(10));
-  EXPECT_GT(gen.skipped_in_flight_cap(), 0);
-  EXPECT_LE(gen.started() - gen.completed(), 10);
+  const workload::WorkloadMetrics& m = host.metrics();
+  EXPECT_GT(m.skipped, 0);
+  EXPECT_LE(m.started - m.completed, 10);
 }
 
-TEST(PoissonArrivals, DeterministicWithSeed) {
+TEST(PoissonPattern, DeterministicWithSeed) {
   auto run = [] {
     Network net(5);
     auto topo = BuildClos(net, 5, TopologyOptions{});
-    PoissonArrivalOptions opt;
+    PoissonOptions opt;
     opt.offered_load = Gbps(40);
     opt.size_scale = 0.1;
     opt.seed = 99;
-    PoissonArrivals gen(net, AllHosts(topo), opt);
-    gen.Begin();
+    PoissonPattern gen(opt);
+    SimWorkloadHost host(net, topo.AllHosts(), TransportMode::kRdmaDcqcn);
+    host.Begin(gen);
     net.RunFor(Milliseconds(10));
-    return std::make_pair(gen.started(), gen.completed());
+    return std::make_pair(host.metrics().started, host.metrics().completed);
   };
   EXPECT_EQ(run(), run());
 }
 
-TEST(PoissonArrivals, CoexistsWithBenchmarkTraffic) {
+TEST(PoissonPattern, CoexistsWithPairsPattern) {
   // Poisson background + the §6.2 closed-loop benchmark on the same hosts:
   // the completion dispatchers must not steal each other's flows.
   Network net(6);
   auto topo = BuildClos(net, 5, TopologyOptions{});
-  auto hosts = AllHosts(topo);
-  BenchmarkTrafficOptions bopt;
+  const std::vector<RdmaNic*> hosts = topo.AllHosts();
+  workload::PairsOptions bopt;
   bopt.num_pairs = 4;
   bopt.incast_degree = 0;
   bopt.size_scale = 0.1;
-  BenchmarkTraffic bench(net, hosts, bopt);
-  PoissonArrivalOptions popt;
+  workload::PairsPattern bench(bopt);
+  SimWorkloadHost bench_host(net, hosts, TransportMode::kRdmaDcqcn);
+  PoissonOptions popt;
   popt.offered_load = Gbps(10);
   popt.size_scale = 0.1;
-  PoissonArrivals gen(net, hosts, popt);
-  bench.Begin();
-  gen.Begin();
+  PoissonPattern gen(popt);
+  SimWorkloadHost gen_host(net, hosts, TransportMode::kRdmaDcqcn);
+  bench_host.Begin(bench);
+  gen_host.Begin(gen);
   net.RunFor(Milliseconds(20));
   EXPECT_GT(bench.user_transfers(), 0);
-  EXPECT_GT(gen.completed(), 0);
+  EXPECT_GT(gen_host.metrics().completed, 0);
 }
 
 }  // namespace

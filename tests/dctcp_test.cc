@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "net/topology.h"
-#include "stats/monitor.h"
+#include "telemetry/probes.h"
 
 namespace dcqcn {
 namespace {
@@ -70,12 +70,13 @@ TEST(Dctcp, QueuePinsNearThreshold) {
     auto topo = BuildStar(net, 3, DctcpOpts(k));
     net.StartFlow(Dctcp(net, topo.hosts[0], topo.hosts[2], 0));
     net.StartFlow(Dctcp(net, topo.hosts[1], topo.hosts[2], 0));
-    QueueMonitor mon(&net.eq(), Microseconds(20), [&] {
-      return topo.sw->EgressQueueBytes(2, kDataPriority);
+    telemetry::ProbeSet probes(&net.eq(), Microseconds(20));
+    const size_t queue = probes.AddGauge("queue_bytes", [&] {
+      return static_cast<double>(topo.sw->EgressQueueBytes(2, kDataPriority));
     });
-    mon.Start();
+    probes.Start();
     net.RunFor(Milliseconds(30));
-    const Cdf cdf = mon.ToCdf(Milliseconds(10));
+    const Cdf cdf = probes.ToCdf(queue, Milliseconds(10));
     EXPECT_NEAR(cdf.Quantile(0.5), static_cast<double>(k),
                 static_cast<double>(k) * 0.35)
         << "K=" << k;
@@ -98,12 +99,13 @@ TEST(Dctcp, DeeperThresholdDeeperQueueThanDcqcn) {
       f.mode = mode;
       net.StartFlow(f);
     }
-    QueueMonitor mon(&net.eq(), Microseconds(20), [&] {
-      return topo.sw->EgressQueueBytes(4, kDataPriority);
+    telemetry::ProbeSet probes(&net.eq(), Microseconds(20));
+    const size_t queue = probes.AddGauge("queue_bytes", [&] {
+      return static_cast<double>(topo.sw->EgressQueueBytes(4, kDataPriority));
     });
-    mon.Start();
+    probes.Start();
     net.RunFor(Milliseconds(30));
-    return mon.ToCdf(Milliseconds(10)).Quantile(0.9);
+    return probes.ToCdf(queue, Milliseconds(10)).Quantile(0.9);
   };
   const double dcqcn = queue_p90(TransportMode::kRdmaDcqcn,
                                  RedEcnConfig::Deployment());

@@ -209,10 +209,7 @@ int64_t ShortFlowPhaseBytes(int pods, int tors_per_pod, int hosts_per_tor,
   shape.hosts_per_tor = hosts_per_tor;
   Network net(3);
   const ClosTopology topo = BuildClos(net, shape, TopologyOptions{});
-  std::vector<RdmaNic*> hosts;
-  for (const auto& per_tor : topo.hosts_by_tor) {
-    hosts.insert(hosts.end(), per_tor.begin(), per_tor.end());
-  }
+  const std::vector<RdmaNic*> hosts = topo.AllHosts();
   const int n = static_cast<int>(hosts.size());
   int completed = 0;
   for (RdmaNic* nic : hosts) nic->SetRetainCompletedRecords(false);

@@ -364,10 +364,7 @@ ChurnRun RunChurnThroughHostPath(int qp_cache, int fanout, uint64_t seed,
   topt.nic_config.host_path.qp_cache_entries = qp_cache;
   topt.nic_config.host_path.mr_cache_entries = 2 * qp_cache;
   const ClosTopology topo = BuildClos(net, /*hosts_per_tor=*/5, topt);
-  std::vector<RdmaNic*> hosts;
-  for (const auto& per_tor : topo.hosts_by_tor) {
-    hosts.insert(hosts.end(), per_tor.begin(), per_tor.end());
-  }
+  const std::vector<RdmaNic*> hosts = topo.AllHosts();
 
   workload::WorkloadSpec spec;
   spec.name = "qpchurn";
@@ -483,10 +480,7 @@ TEST(VerbsHostIntegration, TelemetryExportsHostNamespace) {
   TopologyOptions topt;
   topt.nic_config.host_path.enabled = true;
   const ClosTopology topo = BuildClos(net, 2, topt);
-  std::vector<RdmaNic*> hosts;
-  for (const auto& per_tor : topo.hosts_by_tor) {
-    hosts.insert(hosts.end(), per_tor.begin(), per_tor.end());
-  }
+  const std::vector<RdmaNic*> hosts = topo.AllHosts();
   workload::WorkloadSpec spec;
   spec.name = "qpchurn";
   spec.params["fanout"] = "2";

@@ -420,10 +420,7 @@ TEST(HybridEngine, BoundedPeeksFileNothingBehindTheWheelCursor) {
                         .spines = 4, .hosts_per_tor = 8};
   Network net(/*seed=*/29);
   const ClosTopology topo = BuildClos(net, shape, TopologyOptions{});
-  std::vector<RdmaNic*> hosts;
-  for (const auto& per_tor : topo.hosts_by_tor) {
-    hosts.insert(hosts.end(), per_tor.begin(), per_tor.end());
-  }
+  const std::vector<RdmaNic*> hosts = topo.AllHosts();
   HybridConfig cfg;
   cfg.check_interval = Microseconds(5);
   HybridEngine hyb(&net, cfg);

@@ -5,7 +5,6 @@
 
 #include "fault/fault_injector.h"
 #include "net/topology.h"
-#include "stats/monitor.h"
 #include "stats/stats.h"
 
 namespace dcqcn {

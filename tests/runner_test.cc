@@ -17,7 +17,7 @@
 #include "fluid/sweep.h"
 #include "net/topology.h"
 #include "runner/serialize.h"
-#include "stats/monitor.h"
+#include "telemetry/probes.h"
 
 namespace dcqcn {
 namespace {
@@ -39,10 +39,11 @@ runner::TrialSpec SmallIncastTrial(int trial) {
       f.mode = TransportMode::kRdmaDcqcn;
       net.StartFlow(f);
     }
-    QueueMonitor mon(&net.eq(), Microseconds(20), [&] {
-      return topo.sw->EgressQueueBytes(3, kDataPriority);
+    telemetry::ProbeSet probes(&net.eq(), Microseconds(20));
+    const size_t queue = probes.AddGauge("queue_bytes", [&] {
+      return static_cast<double>(topo.sw->EgressQueueBytes(3, kDataPriority));
     });
-    mon.Start();
+    probes.Start();
     net.RunFor(Microseconds(300));
 
     runner::TrialResult r;
@@ -58,7 +59,7 @@ runner::TrialSpec SmallIncastTrial(int trial) {
       delivered.push_back(static_cast<double>(d));
     }
     r.summaries["delivered"] = Summarize(delivered);
-    r.series["queue_bytes"] = mon.series();
+    r.series["queue_bytes"] = probes.Series(queue);
     return r;
   };
   return spec;

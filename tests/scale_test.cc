@@ -24,7 +24,9 @@ std::string RunMatrixToJson(int jobs, uint64_t seed) {
   std::vector<runner::TrialSpec> matrix;
   matrix.reserve(cases.size());
   for (const bench::ScaleCase& c : cases) {
-    matrix.push_back(bench::ScaleTrial(c, &wall_seconds));
+    bench::ScaleTrialOptions topt;
+    topt.wall_seconds = &wall_seconds;
+    matrix.push_back(bench::ScaleTrial(c, topt));
   }
   runner::RunnerOptions opt;
   opt.jobs = jobs;

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "net/topology.h"
-#include "stats/monitor.h"
+#include "telemetry/probes.h"
 
 namespace dcqcn {
 namespace {
@@ -113,12 +113,13 @@ TEST(Timely, KeepsQueueBelowPfcWithoutEcn) {
     f.mode = TransportMode::kTimely;
     net.StartFlow(f);
   }
-  QueueMonitor mon(&net.eq(), Microseconds(20), [&] {
-    return topo.sw->EgressQueueBytes(4, kDataPriority);
+  telemetry::ProbeSet probes(&net.eq(), Microseconds(20));
+  const size_t queue = probes.AddGauge("queue_bytes", [&] {
+    return static_cast<double>(topo.sw->EgressQueueBytes(4, kDataPriority));
   });
-  mon.Start();
+  probes.Start();
   net.RunFor(Milliseconds(40));
-  const Cdf q = mon.ToCdf(Milliseconds(10));
+  const Cdf q = probes.ToCdf(queue, Milliseconds(10));
   // t_high = 100 us of queueing at 40G = 500 KB; stay well under that and
   // far from the multi-MB PFC region.
   EXPECT_LT(q.Quantile(0.9), 700e3);

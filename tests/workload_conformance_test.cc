@@ -107,10 +107,7 @@ PatternRun RunPattern(const std::string& name, uint64_t seed, Time duration,
                       Time drain) {
   Network net(seed);
   const ClosTopology topo = BuildClos(net, /*hosts_per_tor=*/5, TopologyOptions{});
-  std::vector<RdmaNic*> hosts;
-  for (const auto& per_tor : topo.hosts_by_tor) {
-    hosts.insert(hosts.end(), per_tor.begin(), per_tor.end());
-  }
+  const std::vector<RdmaNic*> hosts = topo.AllHosts();
   SimWorkloadHost whost(net, hosts, TransportMode::kRdmaDcqcn);
   WorkloadSpec spec;
   spec.name = name;
@@ -294,10 +291,7 @@ TEST(WorkloadMetricsExport, TrialResultAndRegistryAgree) {
 TEST(WorkloadPatterns, IncastRunsExactlyConfiguredEpochs) {
   Network net(3);
   const ClosTopology topo = BuildClos(net, 5, TopologyOptions{});
-  std::vector<RdmaNic*> hosts;
-  for (const auto& per_tor : topo.hosts_by_tor) {
-    hosts.insert(hosts.end(), per_tor.begin(), per_tor.end());
-  }
+  const std::vector<RdmaNic*> hosts = topo.AllHosts();
   SimWorkloadHost whost(net, hosts, TransportMode::kRdmaDcqcn);
   workload::IncastOptions opts;
   opts.fan_in = 6;
@@ -315,10 +309,7 @@ TEST(WorkloadPatterns, IncastRunsExactlyConfiguredEpochs) {
 TEST(WorkloadPatterns, AllreduceRingIterationFlowCountMatchesAlgorithm) {
   Network net(5);
   const ClosTopology topo = BuildClos(net, 5, TopologyOptions{});
-  std::vector<RdmaNic*> hosts;
-  for (const auto& per_tor : topo.hosts_by_tor) {
-    hosts.insert(hosts.end(), per_tor.begin(), per_tor.end());
-  }
+  const std::vector<RdmaNic*> hosts = topo.AllHosts();
   SimWorkloadHost whost(net, hosts, TransportMode::kRdmaDcqcn);
   workload::AllreduceRingOptions opts;
   opts.nodes = 6;
@@ -337,10 +328,7 @@ TEST(WorkloadPatterns, AllreduceRingIterationFlowCountMatchesAlgorithm) {
 TEST(WorkloadPatterns, AllToAllRoundIsFullBipartiteExchange) {
   Network net(9);
   const ClosTopology topo = BuildClos(net, 5, TopologyOptions{});
-  std::vector<RdmaNic*> hosts;
-  for (const auto& per_tor : topo.hosts_by_tor) {
-    hosts.insert(hosts.end(), per_tor.begin(), per_tor.end());
-  }
+  const std::vector<RdmaNic*> hosts = topo.AllHosts();
   SimWorkloadHost whost(net, hosts, TransportMode::kRdmaDcqcn);
   workload::AllToAllOptions opts;
   opts.nodes = 5;
@@ -372,10 +360,7 @@ TEST(WorkloadRegistry, PatternCcMatrixIsJobsInvariant) {
       spec.run = [pattern_name, cc_id, mode](const runner::TrialContext& ctx) {
         Network net(ctx.seed);
         const ClosTopology topo = BuildClos(net, 5, TopologyOptions{});
-        std::vector<RdmaNic*> hosts;
-        for (const auto& per_tor : topo.hosts_by_tor) {
-          hosts.insert(hosts.end(), per_tor.begin(), per_tor.end());
-        }
+        const std::vector<RdmaNic*> hosts = topo.AllHosts();
         SimWorkloadHost whost(net, hosts, mode, cc_id);
         WorkloadSpec wspec;
         wspec.name = pattern_name;
