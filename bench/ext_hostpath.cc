@@ -20,7 +20,8 @@
 // Flags: `--smoke` (10x shorter window, for CI), `--cc=POLICY` (sweep under
 // another congestion control), `--host=SPEC` (replace the cache axis with
 // one profile), `--workload=SPEC` (replace qpchurn), plus the standard
-// `--jobs/--seed/--json/--csv`. Recorded numbers: BENCH_PR8.json.
+// `--jobs/--seed/--json/--csv`. The device's microbench rows
+// (BM_HostDoorbell, BM_QpCacheChurn) are gated in BENCH_MICRO.json.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -193,7 +194,7 @@ int main(int argc, char** argv) {
       runner::ParseCli(static_cast<int>(args.size()), args.data());
   if (!cli.ok) {
     std::fprintf(stderr, "%s\n", cli.error.c_str());
-    return 1;
+    return 2;
   }
 
   const std::vector<HostPathCase> cases =

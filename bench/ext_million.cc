@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
       runner::ParseCli(static_cast<int>(args.size()), args.data());
   if (!cli.ok) {
     std::fprintf(stderr, "%s\n", cli.error.c_str());
-    return 1;
+    return 2;
   }
   if (packet) {
     cli.hybrid.clear();

@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   const runner::CliOptions cli = runner::ParseCli(argc, argv);
   if (!cli.ok) {
     std::fprintf(stderr, "%s\n", cli.error.c_str());
-    return 1;
+    return 2;
   }
   const runner::CcSelection champion{TransportMode::kRdmaDcqcn, -1};
   const runner::CcSelection challenger =

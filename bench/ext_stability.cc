@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   const runner::CliOptions cli = runner::ParseCli(argc, argv);
   if (!cli.ok) {
     std::fprintf(stderr, "%s\n", cli.error.c_str());
-    return 1;
+    return 2;
   }
 
   // Matrix: the (g, N) grid followed by the feedback-delay sweep.

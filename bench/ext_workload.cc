@@ -37,6 +37,10 @@ using namespace dcqcn;
 
 namespace {
 
+// 32 ToRs / 512 hosts — the ext_scale headline shape.
+constexpr ClosShape kShape{.pods = 8, .tors_per_pod = 4, .leaves_per_pod = 4,
+                           .spines = 8, .hosts_per_tor = 16};
+
 struct WorkloadCase {
   std::string name;  // trial name (also the spec text)
   std::string spec;
@@ -65,12 +69,9 @@ runner::TrialSpec WorkloadTrial(const WorkloadCase& c, Time duration,
   spec.run = [c, wspec, duration, cc,
               host_cfg](const runner::TrialContext& ctx) {
     Network net(ctx.seed);
-    // 32 ToRs / 512 hosts — the ext_scale headline shape.
-    const ClosShape shape{.pods = 8, .tors_per_pod = 4, .leaves_per_pod = 4,
-                          .spines = 8, .hosts_per_tor = 16};
     TopologyOptions topt = bench::CcTopo(cc.mode);
     topt.nic_config.host_path = host_cfg;
-    const ClosTopology topo = BuildClos(net, shape, topt);
+    const ClosTopology topo = BuildClos(net, kShape, topt);
     const std::vector<RdmaNic*> hosts = topo.AllHosts();
 
     // Pattern randomness comes from a stream distinct from the network's
@@ -147,11 +148,20 @@ int main(int argc, char** argv) {
       runner::ParseCli(static_cast<int>(args.size()), args.data());
   if (!cli.ok) {
     std::fprintf(stderr, "%s\n", cli.error.c_str());
-    return 1;
+    return 2;
   }
 
   std::vector<WorkloadCase> cases;
   if (!cli.workload.empty()) {
+    // ParseCli checked keys and values; the host-count bounds need the
+    // fabric.
+    const std::string err = workload::WorkloadSpecError(
+        workload::ParseWorkloadSpec(cli.workload), kShape.num_hosts());
+    if (!err.empty()) {
+      std::fprintf(stderr, "bad --workload '%s': %s\n", cli.workload.c_str(),
+                   err.c_str());
+      return 2;
+    }
     cases.push_back({cli.workload, cli.workload});
   } else {
     cases = DefaultCases();

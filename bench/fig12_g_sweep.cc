@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   const runner::CliOptions cli = runner::ParseCli(argc, argv);
   if (!cli.ok) {
     std::fprintf(stderr, "%s\n", cli.error.c_str());
-    return 1;
+    return 2;
   }
 
   // The 2x2 table grid, then the two plotted 2:1 traces at a finer sample

@@ -145,8 +145,8 @@ void BM_TimerWheelPeriodic(benchmark::State& state) {
   // DCQCN-like ~55 us periods, 10 simulated ms. This is the access pattern
   // the hierarchical timer wheel serves in O(1) per event where the binary
   // heap pays O(log n) twice (push + pop) at n = Arg pending timers.
-  // Baseline practice: run with --benchmark_repetitions=3 and record the
-  // median (see BENCH_PR5.json).
+  // Baseline practice: the median of --benchmark_repetitions=5, recorded
+  // with every other row in BENCH_MICRO.json.
   const int n = static_cast<int>(state.range(0));
   struct PeriodicTimer {
     EventQueue* eq;

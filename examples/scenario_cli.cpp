@@ -44,7 +44,9 @@
 // Prints a one-screen report: workload completions and goodput / FCT
 // distributions, then the fabric's PAUSE, ECN-mark and drop totals. A
 // compact way to explore the system without writing code — exercises the
-// whole public API via the umbrella header.
+// whole public API via the umbrella header. A bad command line (unknown
+// option, policy, workload key or value, impossible --shards cut or
+// --storm-host) exits 2 with a message naming the offending argument.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -130,7 +132,7 @@ void PrintCdf(const char* label, const Cdf& c) {
 
 int main(int argc, char** argv) {
   Args args;
-  if (!Parse(argc, argv, &args)) return 1;
+  if (!Parse(argc, argv, &args)) return 2;
 
   // Factory lookup: --cc names the CcPolicy; its registration also fixes
   // the wire behavior (TransportMode) its flows ride on.
@@ -143,7 +145,7 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr, "unknown --cc policy '%s' (registered: %s)\n",
                  args.cc.c_str(), names.c_str());
-    return 1;
+    return 2;
   }
   const TransportMode cc_mode = CcPolicyInfoById(cc_policy).mode;
 
@@ -156,14 +158,14 @@ int main(int argc, char** argv) {
     if (!herr.empty()) {
       std::fprintf(stderr, "bad --host '%s': %s\n", args.host.c_str(),
                    herr.c_str());
-      return 1;
+      return 2;
     }
     host_cfg = host::MakeHostPathConfig(hspec);
     if (host_cfg.enabled && args.workload.empty()) {
       std::fprintf(stderr,
                    "--host models workload emission; combine it with "
                    "--workload=SPEC\n");
-      return 1;
+      return 2;
     }
   }
 
@@ -177,7 +179,7 @@ int main(int argc, char** argv) {
                    "--shards=%d: no valid cut for --topo=%s (only the Clos "
                    "fabric partitions by ToR)\n",
                    args.shards, args.topo.c_str());
-      return 1;
+      return 2;
     }
     ClosShape shape;  // BuildClos(net, hosts, opt) uses the paper defaults
     shape.hosts_per_tor = args.hosts;
@@ -185,7 +187,7 @@ int main(int argc, char** argv) {
     if (!shard_plan.ok) {
       std::fprintf(stderr, "--shards=%d: %s\n", args.shards,
                    shard_plan.error.c_str());
-      return 1;
+      return 2;
     }
   }
 
@@ -226,7 +228,7 @@ int main(int argc, char** argv) {
   if (args.storm_host >= static_cast<int>(hosts.size())) {
     std::fprintf(stderr, "--storm-host=%d: no such host (%zu hosts)\n",
                  args.storm_host, hosts.size());
-    return 1;
+    return 2;
   }
 
   // One traffic path: a registered pattern over every host, flows stamped
@@ -239,16 +241,12 @@ int main(int argc, char** argv) {
   }
   const workload::WorkloadSpec spec =
       workload::ParseWorkloadSpec(args.workload);
-  if (!spec.ok || workload::WorkloadPatternIdByName(spec.name) < 0) {
-    std::string names;
-    for (const std::string& n : workload::WorkloadPatternNames()) {
-      if (!names.empty()) names += ", ";
-      names += n;
-    }
-    std::fprintf(stderr, "bad --workload '%s'%s%s (registered: %s)\n",
-                 args.workload.c_str(), spec.ok ? "" : ": ",
-                 spec.ok ? "" : spec.error.c_str(), names.c_str());
-    return 1;
+  const std::string wl_err =
+      workload::WorkloadSpecError(spec, static_cast<int>(hosts.size()));
+  if (!wl_err.empty()) {
+    std::fprintf(stderr, "bad --workload '%s': %s (usage: --workload=NAME"
+                 "[:key=val,...])\n", args.workload.c_str(), wl_err.c_str());
+    return 2;
   }
   const std::unique_ptr<workload::WorkloadPattern> pattern =
       workload::CreateWorkloadPattern(spec, args.seed);

@@ -18,6 +18,8 @@ using namespace dcqcn;
 
 namespace {
 
+constexpr Time kRunTime = Milliseconds(40);
+
 void RunOnce(TransportMode mode, int incast_degree, int pairs) {
   Network net(/*seed=*/2026);
   ClosTopology topo = BuildClos(net, /*hosts_per_tor=*/5, TopologyOptions{});
@@ -29,7 +31,7 @@ void RunOnce(TransportMode mode, int incast_degree, int pairs) {
   workload::PairsPattern traffic(opt);
   workload::SimWorkloadHost host(net, topo.AllHosts(), mode);
   host.Begin(traffic);
-  net.RunFor(Milliseconds(40));
+  net.RunFor(kRunTime);
 
   int64_t spine_pauses = 0;
   for (auto* s : topo.spines) {
@@ -55,8 +57,8 @@ int main(int argc, char** argv) {
   const int pairs = argc > 2 ? std::atoi(argv[2]) : 12;
   std::printf(
       "Cloud-storage backend on the Fig. 2 Clos testbed: %d user pairs + "
-      "%d:1 disk-rebuild incast, 25 ms\n\n",
-      pairs, degree);
+      "%d:1 disk-rebuild incast, %.0f ms\n\n",
+      pairs, degree, ToMilliseconds(kRunTime));
   RunOnce(TransportMode::kRdmaRaw, degree, pairs);
   RunOnce(TransportMode::kRdmaDcqcn, degree, pairs);
   std::printf(

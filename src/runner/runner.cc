@@ -246,17 +246,9 @@ CliOptions ParseCli(int argc, char** argv) {
       cli.cc = value;
     } else if (arg == "--workload") {
       if (!need_value()) return fail("--workload requires a pattern spec");
-      const workload::WorkloadSpec spec = workload::ParseWorkloadSpec(value);
-      if (!spec.ok) return fail(spec.error);
-      if (workload::WorkloadPatternIdByName(spec.name) < 0) {
-        std::string names;
-        for (const std::string& n : workload::WorkloadPatternNames()) {
-          if (!names.empty()) names += ", ";
-          names += n;
-        }
-        return fail("unknown --workload pattern '" + spec.name +
-                    "' (registered: " + names + ")");
-      }
+      const std::string err = workload::WorkloadSpecError(
+          workload::ParseWorkloadSpec(value), /*num_hosts=*/0);
+      if (!err.empty()) return fail("bad --workload '" + value + "': " + err);
       cli.workload = value;
     } else if (arg == "--host") {
       if (!need_value()) return fail("--host requires a profile spec");

@@ -135,8 +135,10 @@ std::vector<TrialResult> RunTrials(const std::vector<TrialSpec>& matrix,
 //                 CcFromCli (below).
 //   --workload SPEC  traffic pattern, `NAME[:key=val,...]` over the
 //                 WorkloadPattern registry (src/workload/workload.h);
-//                 rejected with the registered names listed if the name is
-//                 unknown or the spec fails to parse. Empty = the bench's
+//                 rejected (WorkloadSpecError) when the name is unknown,
+//                 the spec fails to parse, or a key or value is bad; the
+//                 error names the offender. Host-count bounds are left to
+//                 the bench, which knows its topology. Empty = the bench's
 //                 default pattern matrix.
 //   --host SPEC   host-path device model, `PROFILE[:key=val,...]` over the
 //                 profiles in src/host/host_config.h; rejected with the
@@ -151,7 +153,8 @@ std::vector<TrialResult> RunTrials(const std::vector<TrialSpec>& matrix,
 //                 guard=<us> release=<0|1>. Rejected when combined with
 //                 --shards or --host (single-queue, wire-only engine only).
 // Both `--flag value` and `--flag=value` are accepted; --hybrid's spec rides
-// after a colon and never consumes the next argument.
+// after a colon and never consumes the next argument. Benches print `error`
+// and exit 2 when !ok.
 struct CliOptions {
   int jobs = 1;
   uint64_t seed = 1;

@@ -300,24 +300,16 @@ class EventQueue {
   // the duration of a window; Schedule/Cancel/Run from any other thread then
   // trip a DCHECK. Unbound (the default, and between windows) means any
   // thread may touch the queue — which is safe, because the barrier protocol
-  // guarantees exclusive access outside windows. No-ops in release builds.
+  // guarantees exclusive access outside windows. The owner fields exist in
+  // every build, so the layout does not depend on NDEBUG; only the DCHECKs
+  // that call DebugAffinityOk compile away in release builds.
   void DebugBindToCurrentThread() {
-#ifndef NDEBUG
     debug_owner_ = std::this_thread::get_id();
     debug_bound_ = true;
-#endif
   }
-  void DebugUnbind() {
-#ifndef NDEBUG
-    debug_bound_ = false;
-#endif
-  }
+  void DebugUnbind() { debug_bound_ = false; }
   bool DebugAffinityOk() const {
-#ifndef NDEBUG
     return !debug_bound_ || debug_owner_ == std::this_thread::get_id();
-#else
-    return true;
-#endif
   }
 
  private:
@@ -505,10 +497,8 @@ class EventQueue {
   uint64_t ctx_hash_ = 0;   // MixEventKey(key of the firing event)
   uint64_t ctx_spawn_ = 0;  // children scheduled by the firing event so far
   bool in_event_ = false;   // inside a callback (vs. setup / coordinator)
-#ifndef NDEBUG
   std::thread::id debug_owner_;
   bool debug_bound_ = false;
-#endif
   HeapCounters heap_counters_;  // cold: last, off the hot fields' lines
 };
 

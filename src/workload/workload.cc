@@ -1,10 +1,12 @@
 #include "workload/workload.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <mutex>
 #include <utility>
 
 #include "common/check.h"
+#include "trace/distributions.h"
 #include "workload/collective.h"
 #include "workload/incast.h"
 #include "workload/pairs.h"
@@ -19,7 +21,10 @@ int64_t WorkloadConfig::GetInt(const std::string& key, int64_t def) const {
   if (it == params.end()) return def;
   char* end = nullptr;
   const int64_t v = std::strtoll(it->second.c_str(), &end, 10);
-  DCQCN_CHECK(end != nullptr && *end == '\0' && !it->second.empty());
+  if (it->second.empty() || *end != '\0') {
+    Reject(key + "=" + it->second + " is not an integer");
+    return def;
+  }
   return v;
 }
 
@@ -28,7 +33,10 @@ double WorkloadConfig::GetDouble(const std::string& key, double def) const {
   if (it == params.end()) return def;
   char* end = nullptr;
   const double v = std::strtod(it->second.c_str(), &end);
-  DCQCN_CHECK(end != nullptr && *end == '\0' && !it->second.empty());
+  if (it->second.empty() || *end != '\0') {
+    Reject(key + "=" + it->second + " is not a number");
+    return def;
+  }
   return v;
 }
 
@@ -41,14 +49,27 @@ std::string WorkloadConfig::GetString(const std::string& key,
 void WorkloadConfig::CheckKeys(std::initializer_list<const char*> known) const {
   for (const auto& kv : params) {
     bool found = false;
+    for (const char* k : known) found = found || kv.first == k;
+    if (found) continue;
+    std::string names;
     for (const char* k : known) {
-      if (kv.first == k) {
-        found = true;
-        break;
-      }
+      names += names.empty() ? k : std::string(", ") + k;
     }
-    DCQCN_CHECK(found);  // unknown --workload param key
+    Reject("unknown key '" + kv.first + "' (keys: " + names + ")");
   }
+}
+
+void WorkloadConfig::Require(bool ok, const std::string& key,
+                             const std::string& what) const {
+  if (ok) return;
+  auto it = params.find(key);
+  Reject((it == params.end() ? key + " (default)" : key + "=" + it->second) +
+         " " + what);
+}
+
+void WorkloadConfig::Reject(const std::string& message) const {
+  if (error == nullptr) CheckFailed(message.c_str(), __FILE__, __LINE__);
+  if (error->empty()) *error = message;
 }
 
 WorkloadSpec ParseWorkloadSpec(const std::string& text) {
@@ -89,6 +110,27 @@ WorkloadSpec ParseWorkloadSpec(const std::string& text) {
 
 namespace {
 
+// Rejects a size-CDF name outside EmpiricalSizeCdf::Names().
+void RequireCdf(const WorkloadConfig& c, const std::string& cdf) {
+  const std::vector<std::string> known = EmpiricalSizeCdf::Names();
+  if (std::find(known.begin(), known.end(), cdf) != known.end()) return;
+  std::string names;
+  for (const std::string& n : known) names += names.empty() ? n : ", " + n;
+  c.Require(false, "cdf", "is not a size CDF (" + names + ")");
+}
+
+// Rejects `key`'s value `v` unless it is below the host count (at most it,
+// with `inclusive`); skipped while the host count is unknown.
+void RequireHostBound(const WorkloadConfig& c, const char* key, int64_t v,
+                      bool inclusive) {
+  if (c.num_hosts == 0 || (inclusive ? v <= c.num_hosts : v < c.num_hosts)) {
+    return;
+  }
+  c.Require(false, key,
+            std::string("must be ") + (inclusive ? "<=" : "<") +
+                " the host count (" + std::to_string(c.num_hosts) + ")");
+}
+
 std::vector<WorkloadPatternInfo>& MutableRegistry() {
   static auto* reg = new std::vector<WorkloadPatternInfo>{
       {"poisson",
@@ -101,6 +143,9 @@ std::vector<WorkloadPatternInfo>& MutableRegistry() {
          o.size_cdf = c.GetString("cdf", "storage-backend");
          o.size_scale = c.size_scale;
          o.seed = c.seed;
+         c.Require(o.offered_load > 0, "load_gbps", "must be > 0");
+         RequireCdf(c, o.size_cdf);
+         if (c.Failed()) return nullptr;
          return std::make_unique<PoissonPattern>(o);
        }},
       {"pairs",
@@ -114,6 +159,14 @@ std::vector<WorkloadPatternInfo>& MutableRegistry() {
          o.size_cdf = c.GetString("cdf", "storage-backend");
          o.size_scale = c.size_scale;
          o.seed = c.seed;
+         c.Require(o.num_pairs >= 0, "pairs", "must be >= 0");
+         c.Require(o.incast_degree >= 0, "incast", "must be >= 0");
+         RequireHostBound(c, "incast", o.incast_degree, false);
+         c.Require(o.incast_degree == 0 || o.incast_flow_bytes > 0,
+                   "incast_kb", "must be > 0");
+         c.Require(o.pair_think_time >= 0, "think_us", "must be >= 0");
+         RequireCdf(c, o.size_cdf);
+         if (c.Failed()) return nullptr;
          return std::make_unique<PairsPattern>(o);
        }},
       {"incast",
@@ -125,6 +178,12 @@ std::vector<WorkloadPatternInfo>& MutableRegistry() {
          o.epochs = c.GetInt("epochs", 0);
          o.epoch_gap = Microseconds(c.GetInt("gap_us", 0));
          o.seed = c.seed;
+         c.Require(o.fan_in >= 1, "fanin", "must be >= 1");
+         RequireHostBound(c, "fanin", o.fan_in, false);
+         c.Require(o.request_bytes > 0, "kb", "must be > 0");
+         c.Require(o.epochs >= 0, "epochs", "must be >= 0");
+         c.Require(o.epoch_gap >= 0, "gap_us", "must be >= 0");
+         if (c.Failed()) return nullptr;
          return std::make_unique<IncastPattern>(o);
        }},
       {"allreduce-ring",
@@ -135,6 +194,12 @@ std::vector<WorkloadPatternInfo>& MutableRegistry() {
          o.vector_bytes = c.GetInt("kb", 1024) * kKB;
          o.iterations = c.GetInt("iters", 0);
          o.seed = c.seed;
+         c.Require(o.nodes >= 2, "nodes", "must be >= 2");
+         RequireHostBound(c, "nodes", o.nodes, true);
+         c.Require(o.nodes >= 2 && o.vector_bytes / o.nodes > 0, "kb",
+                   "must split into a non-empty chunk per node");
+         c.Require(o.iterations >= 0, "iters", "must be >= 0");
+         if (c.Failed()) return nullptr;
          return std::make_unique<AllreduceRingPattern>(o);
        }},
       {"alltoall",
@@ -145,6 +210,11 @@ std::vector<WorkloadPatternInfo>& MutableRegistry() {
          o.bytes_per_peer = c.GetInt("kb", 128) * kKB;
          o.rounds = c.GetInt("rounds", 0);
          o.seed = c.seed;
+         c.Require(o.nodes >= 2, "nodes", "must be >= 2");
+         RequireHostBound(c, "nodes", o.nodes, true);
+         c.Require(o.bytes_per_peer > 0, "kb", "must be > 0");
+         c.Require(o.rounds >= 0, "rounds", "must be >= 0");
+         if (c.Failed()) return nullptr;
          return std::make_unique<AllToAllPattern>(o);
        }},
       {"qpchurn",
@@ -156,6 +226,10 @@ std::vector<WorkloadPatternInfo>& MutableRegistry() {
          o.rounds = c.GetInt("rounds", 0);
          o.size_scale = c.size_scale;
          o.seed = c.seed;
+         c.Require(o.fanout >= 1, "fanout", "must be >= 1");
+         c.Require(o.msg_bytes > 0, "kb", "must be > 0");
+         c.Require(o.rounds >= 0, "rounds", "must be >= 0");
+         if (c.Failed()) return nullptr;
          return std::make_unique<QpChurnPattern>(o);
        }},
   };
@@ -215,6 +289,25 @@ std::unique_ptr<WorkloadPattern> CreateWorkloadPattern(const WorkloadSpec& spec,
   config.size_scale = size_scale;
   config.params = spec.params;
   return WorkloadPatternInfoById(id).make(config);
+}
+
+std::string WorkloadSpecError(const WorkloadSpec& spec, int num_hosts) {
+  if (!spec.ok) return spec.error;
+  const int id = WorkloadPatternIdByName(spec.name);
+  if (id < 0) {
+    std::string names;
+    for (const std::string& n : WorkloadPatternNames()) {
+      names += names.empty() ? n : ", " + n;
+    }
+    return "unknown pattern '" + spec.name + "' (registered: " + names + ")";
+  }
+  std::string error;
+  WorkloadConfig config;
+  config.params = spec.params;
+  config.num_hosts = num_hosts;
+  config.error = &error;
+  WorkloadPatternInfoById(id).make(config);
+  return error.empty() ? error : "pattern '" + spec.name + "': " + error;
 }
 
 }  // namespace workload

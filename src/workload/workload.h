@@ -127,18 +127,32 @@ class WorkloadPattern {
 
 // Everything a pattern factory gets. `params` carries the key=val pairs of
 // the CLI spec; factories validate keys against their known set (CheckKeys)
-// so a typo'd `--workload=incast:fanout=8` fails loudly, not silently.
+// and values against the pattern's preconditions (Require), so a typo'd
+// `--workload=incast:fanout=8` fails loudly, not silently.
 struct WorkloadConfig {
   uint64_t seed = 1;
   double size_scale = 1.0;
   std::map<std::string, std::string> params;
+  // Host count of the topology the pattern will run on; 0 = unknown, which
+  // skips the Require checks that depend on it.
+  int num_hosts = 0;
+  // Validation mode (WorkloadSpecError): when set, the first bad key or
+  // value is recorded here, getters fall back to their default and the
+  // factory returns nullptr. When null, a bad key or value CHECK-fails.
+  std::string* error = nullptr;
 
   bool Has(const std::string& key) const { return params.count(key) != 0; }
   int64_t GetInt(const std::string& key, int64_t def) const;
   double GetDouble(const std::string& key, double def) const;
   std::string GetString(const std::string& key, std::string def) const;
-  // CHECK-fails on any param key outside `known` (call from factories).
+  // Rejects any param key outside `known` (call from factories).
   void CheckKeys(std::initializer_list<const char*> known) const;
+  // Rejects the value of `key` unless `ok`; `what` says what it must be.
+  void Require(bool ok, const std::string& key, const std::string& what) const;
+  bool Failed() const { return error != nullptr && !error->empty(); }
+
+ private:
+  void Reject(const std::string& message) const;
 };
 
 // Parsed form of `--workload=NAME[:key=val,...]`.
@@ -176,6 +190,11 @@ std::vector<std::string> WorkloadPatternNames();
 // (CLI layers validate first).
 std::unique_ptr<WorkloadPattern> CreateWorkloadPattern(
     const WorkloadSpec& spec, uint64_t seed, double size_scale = 1.0);
+
+// The CLI layers' validation: "" if CreateWorkloadPattern(spec, ...) builds
+// a pattern that can run on `num_hosts` hosts (0 = host count unknown),
+// else a message naming the offending pattern name, key or value.
+std::string WorkloadSpecError(const WorkloadSpec& spec, int num_hosts);
 
 }  // namespace workload
 }  // namespace dcqcn

@@ -4,8 +4,8 @@
 // BM_SwitchHotPath and BM_SimulatedIncastMillisecond time — shrunk to unit
 // test size and with correctness assertions instead of timers — so the
 // ASan/UBSan/TSan CI flavors sweep the allocation-free event core's hottest
-// paths on every run. The wall-clock gating lives in CI's perf-smoke step
-// (perf_microbench vs the BENCH_PR4.json baseline); these tests gate
+// paths on every run. The wall-clock gating lives in CI's perf gate
+// (perf_microbench vs the BENCH_MICRO.json baseline); these tests gate
 // memory-safety of the same code.
 #include <gtest/gtest.h>
 

@@ -236,6 +236,53 @@ TEST(WorkloadSpecGrammar, RejectsMalformedSpecs) {
   EXPECT_FALSE(ParseWorkloadSpec("incast:fanin=8,").ok);   // trailing comma
 }
 
+// The CLI layers' validation names the offending key or value where
+// CreateWorkloadPattern would CHECK-fail. These are the specs behind
+// `scenario_cli --workload=pairs:foo=1`, `scenario_cli
+// --workload=pairs:incast=30` (20 hosts) and `ext_workload --workload
+// pairs:foo=1`, which exit 2 with these messages.
+TEST(WorkloadSpecErrors, NameTheOffendingKeyOrValue) {
+  auto error = [](const std::string& text, int hosts) {
+    return workload::WorkloadSpecError(ParseWorkloadSpec(text), hosts);
+  };
+  EXPECT_EQ(error("pairs:pairs=12,incast=8", 20), "");
+  EXPECT_EQ(error("pairs:foo=1", 20),
+            "pattern 'pairs': unknown key 'foo' (keys: pairs, incast, "
+            "incast_kb, think_us, cdf)");
+  EXPECT_EQ(error("pairs:incast=30", 20),
+            "pattern 'pairs': incast=30 must be < the host count (20)");
+  EXPECT_EQ(error("pairs:incast=30", 0), "");  // host count unknown
+  EXPECT_EQ(error("pairs:pairs=many", 20),
+            "pattern 'pairs': pairs=many is not an integer");
+  EXPECT_EQ(error("poisson:load_gbps=0", 20),
+            "pattern 'poisson': load_gbps=0 must be > 0");
+  EXPECT_NE(error("poisson:cdf=hadoop", 20).find("cdf=hadoop is not a size"),
+            std::string::npos);
+  // Defaults are checked too: incast's fan-in of 8 needs 9 hosts.
+  EXPECT_EQ(error("incast", 5),
+            "pattern 'incast': fanin (default) must be < the host count (5)");
+  EXPECT_NE(error("storage-mirror", 20).find("unknown pattern"),
+            std::string::npos);
+  EXPECT_EQ(error("incast:fanin", 20),
+            ParseWorkloadSpec("incast:fanin").error);
+  // Every registered pattern's defaults fit a 64-host fabric.
+  for (const std::string& name : WorkloadPatternNames()) {
+    EXPECT_EQ(error(name, 64), "") << name;
+  }
+}
+
+TEST(WorkloadSpecErrors, RunnerCliRejectsBadKeys) {
+  std::vector<std::string> args = {"ext_workload", "--workload",
+                                   "pairs:foo=1"};
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  const runner::CliOptions cli =
+      runner::ParseCli(static_cast<int>(argv.size()), argv.data());
+  EXPECT_FALSE(cli.ok);
+  EXPECT_NE(cli.error.find("unknown key 'foo'"), std::string::npos)
+      << cli.error;
+}
+
 TEST(WorkloadConfigHelpers, TypedGettersAndDefaults) {
   WorkloadConfig c;
   c.params = {{"n", "12"}, {"x", "2.5"}, {"s", "websearch"}};
@@ -248,6 +295,12 @@ TEST(WorkloadConfigHelpers, TypedGettersAndDefaults) {
   EXPECT_TRUE(c.Has("n"));
   EXPECT_FALSE(c.Has("missing"));
   EXPECT_DEATH(c.GetInt("s", 0), "");  // non-numeric value
+  // Validation mode records the error and falls back to the default.
+  std::string error;
+  c.error = &error;
+  EXPECT_EQ(c.GetInt("s", 7), 7);
+  EXPECT_EQ(error, "s=websearch is not an integer");
+  EXPECT_TRUE(c.Failed());
 }
 
 // The two metric export paths (runner TrialResult, telemetry registry)
