@@ -43,7 +43,6 @@ runner::TrialSpec CnpIntervalTrial(int n_us) {
       f.src_host = topo.hosts[static_cast<size_t>(i)]->id();
       f.dst_host = topo.hosts[8]->id();
       f.size_bytes = 0;
-      f.mode = TransportMode::kRdmaDcqcn;
       net.StartFlow(f);
     }
     telemetry::ProbeSet probes(&net.eq(), Microseconds(10));

@@ -30,7 +30,6 @@ Result Run(double timer_jitter, double pacing_jitter, int k) {
     f.src_host = topo.hosts[static_cast<size_t>(i)]->id();
     f.dst_host = topo.hosts[static_cast<size_t>(k)]->id();
     f.size_bytes = 0;
-    f.mode = TransportMode::kRdmaDcqcn;
     net.StartFlow(f);
   }
   telemetry::ProbeSet probes(&net.eq(), Microseconds(10));

@@ -27,7 +27,6 @@ double Run(bool go_back_zero, Bytes cap) {
     f.src_host = topo.hosts[static_cast<size_t>(i)]->id();
     f.dst_host = topo.hosts[4]->id();
     f.size_bytes = 4000 * kKB;
-    f.mode = TransportMode::kRdmaDcqcn;
     net.StartFlow(f);
     // Closed loop: next chunk on completion (fresh QP, line-rate start).
     topo.hosts[static_cast<size_t>(i)]->AddCompletionCallback(

@@ -22,13 +22,13 @@ namespace {
 // warm QP; every completion is recorded into `out` (goodput, Gbps) and the
 // next message enqueued immediately.
 SenderQp* ClosedLoop(Network& net, RdmaNic* src, RdmaNic* dst, Bytes bytes,
-                     TransportMode mode, uint64_t salt, Cdf* out) {
+                     int16_t policy, uint64_t salt, Cdf* out) {
   FlowSpec f;
   f.flow_id = net.NextFlowId();
   f.src_host = src->id();
   f.dst_host = dst->id();
   f.size_bytes = bytes;
-  f.mode = mode;
+  f.cc_policy = policy;
   f.ecmp_salt = salt;
   SenderQp* qp = net.StartFlow(f);
   const int id = f.flow_id;
@@ -44,20 +44,20 @@ SenderQp* ClosedLoop(Network& net, RdmaNic* src, RdmaNic* dst, Bytes bytes,
 }
 
 SenderQp* Greedy(Network& net, RdmaNic* src, RdmaNic* dst,
-                 TransportMode mode, uint64_t salt) {
+                 int16_t policy, uint64_t salt) {
   FlowSpec f;
   f.flow_id = net.NextFlowId();
   f.src_host = src->id();
   f.dst_host = dst->id();
   f.size_bytes = 0;
-  f.mode = mode;
+  f.cc_policy = policy;
   f.ecmp_salt = salt;
   return net.StartFlow(f);
 }
 
 }  // namespace
 
-UnfairnessResult RunUnfairness(TransportMode mode, Time duration_per_run,
+UnfairnessResult RunUnfairness(int16_t policy, Time duration_per_run,
                                int repeats, uint64_t seed_base) {
   UnfairnessResult res;
   res.per_host.resize(4);
@@ -70,7 +70,7 @@ UnfairnessResult RunUnfairness(TransportMode mode, Time duration_per_run,
     for (int h = 0; h < 4; ++h) {
       const uint64_t salt = seed_base * 1000 + static_cast<uint64_t>(
                                 run * 17 + h * 131);
-      ClosedLoop(net, senders[h], receiver, 4000 * kKB, mode, salt,
+      ClosedLoop(net, senders[h], receiver, 4000 * kKB, policy, salt,
                  &res.per_host[static_cast<size_t>(h)]);
     }
     net.RunFor(duration_per_run);
@@ -78,7 +78,7 @@ UnfairnessResult RunUnfairness(TransportMode mode, Time duration_per_run,
   return res;
 }
 
-Cdf RunVictim(TransportMode mode, int t3_senders, Time duration_per_run,
+Cdf RunVictim(int16_t policy, int t3_senders, Time duration_per_run,
               int repeats, uint64_t seed_base) {
   DCQCN_CHECK(t3_senders >= 0 && t3_senders <= 2);
   // One median per run, so runs with fast victims (which complete many more
@@ -91,17 +91,17 @@ Cdf RunVictim(TransportMode mode, int t3_senders, Time duration_per_run,
     RdmaNic* r = topo.host(3, 0);
     // H11-H14 incast into R.
     for (int h = 0; h < 4; ++h) {
-      Greedy(net, topo.host(0, h), r, mode,
+      Greedy(net, topo.host(0, h), r, policy,
              salt0 + static_cast<uint64_t>(h));
     }
     // Extra senders under T3 into R (the congestion NOT on VS's path).
     for (int h = 0; h < t3_senders; ++h) {
-      Greedy(net, topo.host(2, h), r, mode,
+      Greedy(net, topo.host(2, h), r, policy,
              salt0 + 100 + static_cast<uint64_t>(h));
     }
     // Victim: VS (under T1) -> VR (under T2), 2 MB transfers.
     Cdf victim;
-    ClosedLoop(net, topo.host(0, 4), topo.host(1, 0), 2000 * kKB, mode,
+    ClosedLoop(net, topo.host(0, 4), topo.host(1, 0), 2000 * kKB, policy,
                salt0 + 200, &victim);
     net.RunFor(duration_per_run);
     if (!victim.empty()) run_medians.Add(victim.Quantile(0.5));
@@ -122,7 +122,6 @@ TwoFlowResult RunTwoFlowValidation(const DcqcnParams& params, uint64_t seed) {
     f.dst_host = topo.hosts[2]->id();
     f.size_bytes = 0;
     f.start_time = i * Milliseconds(5);
-    f.mode = TransportMode::kRdmaDcqcn;
     net.StartFlow(f);
   }
   RdmaNic* recv = topo.hosts[2];
@@ -154,7 +153,6 @@ IncastResult RunIncast(int k, uint64_t seed) {
     f.src_host = topo.hosts[static_cast<size_t>(i)]->id();
     f.dst_host = topo.hosts[static_cast<size_t>(k)]->id();
     f.size_bytes = 0;
-    f.mode = TransportMode::kRdmaDcqcn;
     net.StartFlow(f);
   }
   RdmaNic* recv = topo.hosts[static_cast<size_t>(k)];
@@ -177,7 +175,7 @@ IncastResult RunIncast(int k, uint64_t seed) {
   return r;
 }
 
-TrafficResult RunBenchmarkTraffic(TransportMode mode, int incast_degree,
+TrafficResult RunBenchmarkTraffic(int16_t policy, int incast_degree,
                                   int num_pairs, Time duration,
                                   uint64_t seed,
                                   const TopologyOptions& topo_opts) {
@@ -188,7 +186,7 @@ TrafficResult RunBenchmarkTraffic(TransportMode mode, int incast_degree,
   opt.incast_degree = incast_degree;
   opt.seed = seed;
   workload::PairsPattern traffic(opt);
-  workload::SimWorkloadHost host(net, topo.AllHosts(), mode);
+  workload::SimWorkloadHost host(net, topo.AllHosts(), policy);
   host.Begin(traffic);
   net.RunFor(duration);
 
@@ -243,7 +241,7 @@ runner::TrialSpec ScaleTrial(const ScaleCase& c,
     host_cfg = host::MakeHostPathConfig(host::ParseHostSpec(opt.host));
   }
   std::vector<double>* wall_seconds = opt.wall_seconds;
-  const runner::CcSelection cc = opt.cc;
+  const int16_t cc = opt.cc;
   const bool use_pattern = !opt.workload.empty();
   const int64_t fct_reservoir = opt.fct_reservoir;
   const bool retain_flow_records = opt.retain_flow_records;
@@ -266,7 +264,7 @@ runner::TrialSpec ScaleTrial(const ScaleCase& c,
       net_storage.emplace(ctx.seed);
     }
     Network& net = *net_storage;
-    TopologyOptions topt = CcTopo(cc.mode);
+    TopologyOptions topt = CcTopo(cc);
     topt.nic_config.host_path = host_cfg;
     const ClosTopology topo = BuildClos(net, c.shape, topt);
     // --hybrid wraps the run loop in the flow-level fast-forward controller.
@@ -302,10 +300,10 @@ runner::TrialSpec ScaleTrial(const ScaleCase& c,
       // host-path emission when the device model is attached).
       pattern = workload::CreateWorkloadPattern(
           wspec, runner::DeriveTrialSeed(ctx.seed, 0x3a11), size_scale);
-      whost.emplace(net, hosts, cc.mode, cc.policy);
+      whost.emplace(net, hosts, cc);
       if (host_cfg.enabled) {
         vhost = std::make_unique<workload::VerbsWorkloadHost>(
-            net, hosts, cc.mode, cc.policy);
+            net, hosts, cc);
       }
       if (fct_reservoir > 0) {
         // Caps apply before any sample lands, so capped and uncapped runs
@@ -349,8 +347,7 @@ runner::TrialSpec ScaleTrial(const ScaleCase& c,
           fs.src_host = hosts[static_cast<size_t>(i)]->id();
           fs.dst_host = hosts[static_cast<size_t>(dst)]->id();
           fs.size_bytes = 0;  // unbounded: concurrent for the whole window
-          fs.mode = cc.mode;
-          fs.cc_policy = cc.policy;
+          fs.cc_policy = cc;
           fs.ecmp_salt = traffic.NextU64();
           net.StartFlow(fs);
           flows.push_back({hosts[static_cast<size_t>(dst)], fs.flow_id});
@@ -425,14 +422,13 @@ runner::TrialSpec ScaleTrial(const ScaleCase& c,
 }
 
 void StartGreedyFlow(Network& net, RdmaNic* src, RdmaNic* dst, int flow_id,
-                     const runner::CcSelection& cc, Time start) {
+                     int16_t policy, Time start) {
   FlowSpec f;
   f.flow_id = flow_id;
   f.src_host = src->id();
   f.dst_host = dst->id();
   f.size_bytes = 0;  // greedy
-  f.mode = cc.mode;
-  f.cc_policy = cc.policy;
+  f.cc_policy = policy;
   f.start_time = start;
   net.StartFlow(f);
 }

@@ -2,7 +2,7 @@
 //
 // Each paper experiment that appears twice (with and without DCQCN) has a
 // single parameterized runner here, so the PFC-only and DCQCN benches are
-// guaranteed to differ in nothing but the transport mode.
+// guaranteed to differ in nothing but the congestion-control policy.
 #pragma once
 
 #include <algorithm>
@@ -28,7 +28,7 @@ struct UnfairnessResult {
   std::vector<Cdf> per_host;  // goodput (Gbps) of H1..H4
 };
 
-UnfairnessResult RunUnfairness(TransportMode mode, Time duration_per_run,
+UnfairnessResult RunUnfairness(int16_t policy, Time duration_per_run,
                                int repeats, uint64_t seed_base);
 
 // ---------- Fig. 4 / Fig. 9: victim flow ----------
@@ -36,7 +36,7 @@ UnfairnessResult RunUnfairness(TransportMode mode, Time duration_per_run,
 // H11-H14 (under T1) run a greedy incast into R (under T4); VS (under T1)
 // sends 2 MB transfers to VR (under T2); `t3_senders` extra greedy senders
 // under T3 also target R. Returns the pooled victim per-transfer goodputs.
-Cdf RunVictim(TransportMode mode, int t3_senders, Time duration_per_run,
+Cdf RunVictim(int16_t policy, int t3_senders, Time duration_per_run,
               int repeats, uint64_t seed_base);
 
 // ---------- §6.2 benchmark traffic (Figs. 15-18) ----------
@@ -48,7 +48,7 @@ struct TrafficResult {
   int64_t drops = 0;
 };
 
-TrafficResult RunBenchmarkTraffic(TransportMode mode, int incast_degree,
+TrafficResult RunBenchmarkTraffic(int16_t policy, int incast_degree,
                                   int num_pairs, Time duration,
                                   uint64_t seed,
                                   const TopologyOptions& topo_opts);
@@ -87,18 +87,18 @@ inline TopologyOptions DefaultTopo() { return TopologyOptions{}; }
 // Keeping them here guarantees the harnesses differ only in scenario shape,
 // and gives every bench the same --cc=POLICY axis (runner::ResolveCc).
 
-// Topology options with the switch defaults `mode`'s experiments assume
+// Topology options with the switch defaults `policy`'s experiments assume
 // (QCN: switch CP on + RED off; TIMELY: RED off; others: deployment RED).
-inline TopologyOptions CcTopo(TransportMode mode) {
+inline TopologyOptions CcTopo(int16_t policy) {
   TopologyOptions opt;
-  cc::ApplyCcSwitchDefaults(mode, &opt.switch_config);
+  cc::ApplyCcSwitchDefaults(policy, &opt.switch_config);
   return opt;
 }
 
 // Starts one greedy (unbounded) flow src -> dst with an explicit flow id
 // under the given CC selection.
 void StartGreedyFlow(Network& net, RdmaNic* src, RdmaNic* dst, int flow_id,
-                     const runner::CcSelection& cc, Time start = 0);
+                     int16_t policy, Time start = 0);
 
 // Delivered-bytes sum over flow ids [0, n) at `dst`.
 Bytes DeliveredSum(const RdmaNic* dst, int n);
@@ -132,7 +132,7 @@ std::vector<ScaleCase> ScaleCases(bool smoke);
 // sweep byte-for-byte: DCQCN, built-in greedy incast+random mix, wire-only.
 struct ScaleTrialOptions {
   // Congestion control every flow runs under.
-  runner::CcSelection cc = {TransportMode::kRdmaDcqcn, -1};
+  int16_t cc = kDcqcnPolicyId;
   // `NAME[:k=v,...]` over the WorkloadPattern registry; non-empty replaces
   // the built-in greedy mix with the pattern (driven exactly like
   // ext_workload, wl_* counters in the result).

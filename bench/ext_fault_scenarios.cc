@@ -118,7 +118,7 @@ std::vector<Scenario> BuildScenarios() {
   return out;
 }
 
-runner::TrialSpec VictimTrial(const Scenario& sc, runner::CcSelection cc,
+runner::TrialSpec VictimTrial(const Scenario& sc, int16_t cc,
                               const std::string& label) {
   runner::TrialSpec spec;
   spec.name = sc.name + "/" + label;
@@ -129,7 +129,7 @@ runner::TrialSpec VictimTrial(const Scenario& sc, runner::CcSelection cc,
     // Real 802.1Qbb quanta: a received PAUSE expires (~840 us at 40G)
     // unless the sender keeps refreshing it.
     TopologyOptions topo_opt;
-    cc::ApplyCcSwitchDefaults(cc.mode, &topo_opt.switch_config);
+    cc::ApplyCcSwitchDefaults(cc, &topo_opt.switch_config);
     topo_opt.switch_config.pfc_pause_expiry = Microseconds(840);
     topo_opt.switch_config.pfc_pause_refresh = Microseconds(200);
     topo_opt.nic_config.pfc_pause_expiry = Microseconds(840);
@@ -141,8 +141,7 @@ runner::TrialSpec VictimTrial(const Scenario& sc, runner::CcSelection cc,
       f.src_host = src->id();
       f.dst_host = dst->id();
       f.size_bytes = 0;  // greedy
-      f.mode = cc.mode;
-      f.cc_policy = cc.policy;
+      f.cc_policy = cc;
       f.ecmp_salt = salt;
       net.StartFlow(f);
       return f.flow_id;
@@ -237,13 +236,12 @@ int main(int argc, char** argv) {
   // --cc swaps the congestion-controlled arm (default DCQCN) while the
   // PFC-only baseline stays fixed; default names/output are byte-identical
   // to before the axis existed.
-  const runner::CcSelection managed =
-      runner::ResolveCc(cli.cc, TransportMode::kRdmaDcqcn);
+  const int16_t managed = runner::ResolveCc(cli.cc, CcPolicyIdByName("dcqcn"));
   const std::string managed_label = cli.cc.empty() ? "dcqcn" : cli.cc;
   const std::string managed_display = cli.cc.empty() ? "DCQCN" : cli.cc;
   for (const Scenario& sc : scenarios) {
     matrix.push_back(VictimTrial(
-        sc, runner::CcSelection{TransportMode::kRdmaRaw, -1}, "pfc_only"));
+        sc, CcPolicyIdByName("raw"), "pfc_only"));
     matrix.push_back(VictimTrial(sc, managed, managed_label));
   }
   if (!cli.trace_prefix.empty()) {

@@ -80,7 +80,7 @@ std::vector<HostPathCase> DefaultCases(const std::string& wl_override,
 }
 
 runner::TrialSpec HostPathTrial(const HostPathCase& c, Time duration,
-                                runner::CcSelection cc) {
+                                int16_t cc) {
   runner::TrialSpec spec;
   spec.name = c.name;
   const workload::WorkloadSpec wspec = workload::ParseWorkloadSpec(c.workload);
@@ -94,7 +94,7 @@ runner::TrialSpec HostPathTrial(const HostPathCase& c, Time duration,
     Network net(ctx.seed);
     const ClosShape shape{.pods = 8, .tors_per_pod = 4, .leaves_per_pod = 4,
                           .spines = 8, .hosts_per_tor = 16};
-    TopologyOptions topt = bench::CcTopo(cc.mode);
+    TopologyOptions topt = bench::CcTopo(cc);
     topt.nic_config.host_path = host_cfg;
     const ClosTopology topo = BuildClos(net, shape, topt);
     const std::vector<RdmaNic*> hosts = topo.AllHosts();
@@ -102,12 +102,11 @@ runner::TrialSpec HostPathTrial(const HostPathCase& c, Time duration,
     std::unique_ptr<workload::WorkloadPattern> pattern =
         workload::CreateWorkloadPattern(
             wspec, runner::DeriveTrialSeed(ctx.seed, 0x3a11));
-    workload::SimWorkloadHost whost(net, hosts, cc.mode, cc.policy);
+    workload::SimWorkloadHost whost(net, hosts, cc);
     std::unique_ptr<workload::VerbsWorkloadHost> vhost;
     if (host_cfg.enabled) {
       vhost = std::make_unique<workload::VerbsWorkloadHost>(net, hosts,
-                                                            cc.mode,
-                                                            cc.policy);
+                                                            cc);
       vhost->Begin(*pattern);
     } else {
       whost.Begin(*pattern);
@@ -200,8 +199,7 @@ int main(int argc, char** argv) {
   const std::vector<HostPathCase> cases =
       DefaultCases(cli.workload, cli.host);
   const Time duration = smoke ? Microseconds(200) : Milliseconds(2);
-  const runner::CcSelection cc =
-      runner::ResolveCc(cli.cc, TransportMode::kRdmaDcqcn);
+  const int16_t cc = runner::ResolveCc(cli.cc, CcPolicyIdByName("dcqcn"));
   std::vector<runner::TrialSpec> matrix;
   matrix.reserve(cases.size());
   for (const HostPathCase& c : cases) {

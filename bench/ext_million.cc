@@ -28,7 +28,7 @@
 
 #include "bench/common.h"
 #include "runner/runner.h"
-#include "trace/distributions.h"
+#include "workload/distributions.h"
 
 using namespace dcqcn;
 
@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
   std::vector<runner::TrialSpec> matrix;
   matrix.reserve(cases.size());
   bench::ScaleTrialOptions topt;
-  topt.cc = runner::ResolveCc(cli.cc, TransportMode::kRdmaDcqcn);
+  topt.cc = runner::ResolveCc(cli.cc, CcPolicyIdByName("dcqcn"));
   char wl[128];
   std::snprintf(wl, sizeof(wl), "poisson:load_gbps=%.6g,cdf=%s",
                 offered / 1e9, kCdf);

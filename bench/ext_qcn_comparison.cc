@@ -22,9 +22,9 @@ using namespace dcqcn;
 
 namespace {
 
-void SingleSwitch(const runner::CcSelection& cc, const char* label) {
+void SingleSwitch(int16_t cc, const char* label) {
   Network net(5);
-  StarTopology topo = BuildStar(net, 3, bench::CcTopo(cc.mode));
+  StarTopology topo = BuildStar(net, 3, bench::CcTopo(cc));
   for (int i = 0; i < 2; ++i) {
     bench::StartGreedyFlow(net, topo.hosts[static_cast<size_t>(i)],
                            topo.hosts[2], i, cc, i * Milliseconds(5));
@@ -44,9 +44,9 @@ void SingleSwitch(const runner::CcSelection& cc, const char* label) {
               r[0], r[1]);
 }
 
-void ClosIncast(const runner::CcSelection& cc, const char* label) {
+void ClosIncast(int16_t cc, const char* label) {
   Network net(5);
-  ClosTopology topo = BuildClos(net, 5, bench::CcTopo(cc.mode));
+  ClosTopology topo = BuildClos(net, 5, bench::CcTopo(cc));
   for (int h = 0; h < 4; ++h) {
     bench::StartGreedyFlow(net, topo.host(0, h), topo.host(3, 0), h, cc);
   }
@@ -69,9 +69,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", cli.error.c_str());
     return 2;
   }
-  const runner::CcSelection champion{TransportMode::kRdmaDcqcn, -1};
-  const runner::CcSelection challenger =
-      runner::ResolveCc(cli.cc, TransportMode::kQcn);
+  const int16_t champion = CcPolicyIdByName("dcqcn");
+  const int16_t challenger = runner::ResolveCc(cli.cc, CcPolicyIdByName("qcn"));
   const std::string label = cli.cc.empty() ? "QCN" : cli.cc;
 
   std::printf("Extension: %s vs DCQCN\n\n", label.c_str());

@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   std::vector<runner::TrialSpec> matrix;
   matrix.reserve(cases.size());
   bench::ScaleTrialOptions topt;
-  topt.cc = runner::ResolveCc(cli.cc, TransportMode::kRdmaDcqcn);
+  topt.cc = runner::ResolveCc(cli.cc, CcPolicyIdByName("dcqcn"));
   topt.workload = cli.workload;
   topt.host = cli.host;
   topt.wall_seconds = &wall_seconds;

@@ -22,9 +22,9 @@ using namespace dcqcn;
 
 namespace {
 
-void Incast(const runner::CcSelection& cc, const char* label) {
+void Incast(int16_t cc, const char* label) {
   Network net(9);
-  StarTopology topo = BuildStar(net, 9, bench::CcTopo(cc.mode));
+  StarTopology topo = BuildStar(net, 9, bench::CcTopo(cc));
   for (int i = 0; i < 8; ++i) {
     bench::StartGreedyFlow(net, topo.hosts[static_cast<size_t>(i)],
                            topo.hosts[8], i, cc);
@@ -45,12 +45,12 @@ void Incast(const runner::CcSelection& cc, const char* label) {
               bench::WindowGbps(after - before, Milliseconds(20)));
 }
 
-void ReversePathSensitivity(const runner::CcSelection& cc,
+void ReversePathSensitivity(int16_t cc,
                             const char* label) {
   // Forward flow H0 -> H2; reverse congestion: H2 and H1 blast toward H0 so
   // the forward flow's ACKs queue behind data at the switch egress to H0.
   Network net(10);
-  StarTopology topo = BuildStar(net, 3, bench::CcTopo(cc.mode));
+  StarTopology topo = BuildStar(net, 3, bench::CcTopo(cc));
   bench::StartGreedyFlow(net, topo.hosts[0], topo.hosts[2], 0, cc);
   net.RunFor(Milliseconds(10));
   const Bytes calm0 = topo.hosts[2]->ReceiverDeliveredBytes(0);
@@ -59,7 +59,7 @@ void ReversePathSensitivity(const runner::CcSelection& cc,
       topo.hosts[2]->ReceiverDeliveredBytes(0) - calm0, Milliseconds(10));
 
   // Ignite reverse-path congestion (raw senders, they do not yield).
-  const runner::CcSelection raw{TransportMode::kRdmaRaw, -1};
+  const int16_t raw = CcPolicyIdByName("raw");
   for (int i = 1; i <= 2; ++i) {
     bench::StartGreedyFlow(net, topo.hosts[static_cast<size_t>(i)],
                            topo.hosts[0], i, raw, net.eq().Now());
@@ -82,9 +82,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", cli.error.c_str());
     return 2;
   }
-  const runner::CcSelection champion{TransportMode::kRdmaDcqcn, -1};
-  const runner::CcSelection challenger =
-      runner::ResolveCc(cli.cc, TransportMode::kTimely);
+  const int16_t champion = CcPolicyIdByName("dcqcn");
+  const int16_t challenger =
+      runner::ResolveCc(cli.cc, CcPolicyIdByName("timely"));
   const std::string label = cli.cc.empty() ? "TIMELY" : cli.cc;
 
   std::printf("Extension: DCQCN vs %s\n\n", label.c_str());

@@ -60,7 +60,7 @@ std::vector<WorkloadCase> DefaultCases() {
 }
 
 runner::TrialSpec WorkloadTrial(const WorkloadCase& c, Time duration,
-                                runner::CcSelection cc,
+                                int16_t cc,
                                 host::HostPathConfig host_cfg) {
   runner::TrialSpec spec;
   spec.name = c.name;
@@ -69,7 +69,7 @@ runner::TrialSpec WorkloadTrial(const WorkloadCase& c, Time duration,
   spec.run = [c, wspec, duration, cc,
               host_cfg](const runner::TrialContext& ctx) {
     Network net(ctx.seed);
-    TopologyOptions topt = bench::CcTopo(cc.mode);
+    TopologyOptions topt = bench::CcTopo(cc);
     topt.nic_config.host_path = host_cfg;
     const ClosTopology topo = BuildClos(net, kShape, topt);
     const std::vector<RdmaNic*> hosts = topo.AllHosts();
@@ -82,12 +82,11 @@ runner::TrialSpec WorkloadTrial(const WorkloadCase& c, Time duration,
     // With --host, emission runs through each source's HostPathDevice
     // (verbs SQ / doorbells / PCIe / context caches); without it, this is
     // the exact pre-host-path wire-only path.
-    workload::SimWorkloadHost whost(net, hosts, cc.mode, cc.policy);
+    workload::SimWorkloadHost whost(net, hosts, cc);
     std::unique_ptr<workload::VerbsWorkloadHost> vhost;
     if (host_cfg.enabled) {
       vhost = std::make_unique<workload::VerbsWorkloadHost>(net, hosts,
-                                                            cc.mode,
-                                                            cc.policy);
+                                                            cc);
       vhost->Begin(*pattern);
     } else {
       whost.Begin(*pattern);
@@ -168,8 +167,7 @@ int main(int argc, char** argv) {
   }
 
   const Time duration = smoke ? Microseconds(200) : Milliseconds(2);
-  const runner::CcSelection cc =
-      runner::ResolveCc(cli.cc, TransportMode::kRdmaDcqcn);
+  const int16_t cc = runner::ResolveCc(cli.cc, CcPolicyIdByName("dcqcn"));
   host::HostPathConfig host_cfg;  // default: disabled (wire-only)
   if (!cli.host.empty()) {
     host_cfg = host::MakeHostPathConfig(host::ParseHostSpec(cli.host));

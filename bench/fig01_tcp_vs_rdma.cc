@@ -6,10 +6,10 @@
 // read/write) and 2.8us (send).
 //
 // We reproduce the shapes from the analytic host cost model (see
-// transport/fig1_host_curves.h for the substitution rationale).
+// fig1_host_curves.h for the substitution rationale).
 #include <cstdio>
 
-#include "transport/fig1_host_curves.h"
+#include "bench/fig1_host_curves.h"
 
 using namespace dcqcn;
 

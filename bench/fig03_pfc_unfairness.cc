@@ -13,7 +13,7 @@ using namespace dcqcn;
 using namespace dcqcn::bench;
 
 int main() {
-  const auto res = RunUnfairness(TransportMode::kRdmaRaw,
+  const auto res = RunUnfairness(CcPolicyIdByName("raw"),
                                  Milliseconds(40), /*repeats=*/8,
                                  /*seed_base=*/100);
   std::printf("Figure 3(b): per-sender goodput without DCQCN (PFC only), "

@@ -15,7 +15,7 @@ int main() {
   std::printf("%-22s %12s\n", "senders under T3", "VS median (Gbps)");
   double prev = 1e9;
   for (int t3 = 0; t3 <= 2; ++t3) {
-    const Cdf c = RunVictim(TransportMode::kRdmaRaw, t3, Milliseconds(40),
+    const Cdf c = RunVictim(CcPolicyIdByName("raw"), t3, Milliseconds(40),
                             /*repeats=*/9, /*seed_base=*/300);
     const double med = Q(c, 0.5);
     std::printf("%-22d %12.2f%s\n", t3, med,

@@ -11,7 +11,7 @@ using namespace dcqcn;
 using namespace dcqcn::bench;
 
 int main() {
-  const auto res = RunUnfairness(TransportMode::kRdmaDcqcn,
+  const auto res = RunUnfairness(CcPolicyIdByName("dcqcn"),
                                  Milliseconds(40), /*repeats=*/8,
                                  /*seed_base=*/100);
   std::printf("Figure 8: per-sender goodput with DCQCN, Gbps\n");

@@ -12,7 +12,7 @@ int main() {
   std::printf("%-22s %12s\n", "senders under T3", "VS median (Gbps)");
   std::vector<Cdf> per_config;
   for (int t3 = 0; t3 <= 2; ++t3) {
-    per_config.push_back(RunVictim(TransportMode::kRdmaDcqcn, t3,
+    per_config.push_back(RunVictim(CcPolicyIdByName("dcqcn"), t3,
                                    Milliseconds(40), /*repeats=*/9,
                                    /*seed_base=*/300));
     std::printf("%-22d %12.2f\n", t3, Q(per_config.back(), 0.5));

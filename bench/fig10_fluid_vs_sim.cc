@@ -28,7 +28,6 @@ int main() {
     f.dst_host = topo.hosts[2]->id();
     f.size_bytes = 0;
     f.start_time = i == 0 ? 0 : kJoin;
-    f.mode = TransportMode::kRdmaDcqcn;
     net.StartFlow(f);
   }
   telemetry::ProbeSet probes(&net.eq(), kSample);

@@ -13,10 +13,10 @@ using namespace dcqcn::bench;
 int main() {
   const Time kDuration = Milliseconds(40);
   const auto without =
-      RunBenchmarkTraffic(TransportMode::kRdmaRaw, /*incast_degree=*/10,
+      RunBenchmarkTraffic(CcPolicyIdByName("raw"), /*incast_degree=*/10,
                           /*num_pairs=*/20, kDuration, 11, DefaultTopo());
   const auto with =
-      RunBenchmarkTraffic(TransportMode::kRdmaDcqcn, /*incast_degree=*/10,
+      RunBenchmarkTraffic(CcPolicyIdByName("dcqcn"), /*incast_degree=*/10,
                           /*num_pairs=*/20, kDuration, 11, DefaultTopo());
 
   std::printf("Figure 15: PAUSE frames received at S1+S2 (40 ms benchmark "

@@ -23,11 +23,11 @@ int main() {
               "DCQCN", "no-DCQCN", "DCQCN");
 
   for (int degree : {2, 4, 6, 8, 10}) {
-    const auto off = RunBenchmarkTraffic(TransportMode::kRdmaRaw, degree,
+    const auto off = RunBenchmarkTraffic(CcPolicyIdByName("raw"), degree,
                                          kPairs, kDuration,
                                          static_cast<uint64_t>(degree),
                                          DefaultTopo());
-    const auto on = RunBenchmarkTraffic(TransportMode::kRdmaDcqcn, degree,
+    const auto on = RunBenchmarkTraffic(CcPolicyIdByName("dcqcn"), degree,
                                         kPairs, kDuration,
                                         static_cast<uint64_t>(degree),
                                         DefaultTopo());

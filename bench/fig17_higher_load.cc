@@ -12,10 +12,10 @@ using namespace dcqcn::bench;
 int main() {
   const Time kDuration = Milliseconds(40);
   const auto light =
-      RunBenchmarkTraffic(TransportMode::kRdmaRaw, /*incast_degree=*/10,
+      RunBenchmarkTraffic(CcPolicyIdByName("raw"), /*incast_degree=*/10,
                           /*num_pairs=*/5, kDuration, 21, DefaultTopo());
   const auto heavy =
-      RunBenchmarkTraffic(TransportMode::kRdmaDcqcn, /*incast_degree=*/10,
+      RunBenchmarkTraffic(CcPolicyIdByName("dcqcn"), /*incast_degree=*/10,
                           /*num_pairs=*/80, kDuration, 21, DefaultTopo());
 
   std::printf("Figure 17(a): user-traffic goodput CDF (Gbps)\n");

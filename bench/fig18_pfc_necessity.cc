@@ -29,7 +29,7 @@ int main() {
 
   // 1. PFC only.
   rows.push_back({"No DCQCN (PFC only)",
-                  RunBenchmarkTraffic(TransportMode::kRdmaRaw, kDegree,
+                  RunBenchmarkTraffic(CcPolicyIdByName("raw"), kDegree,
                                       kPairs, kDuration, kSeed,
                                       DefaultTopo())});
 
@@ -44,7 +44,7 @@ int main() {
     topo.switch_config.pfc_enabled = false;
     topo.switch_config.lossy_egress_cap = 160 * kKB;
     rows.push_back({"DCQCN without PFC",
-                    RunBenchmarkTraffic(TransportMode::kRdmaDcqcn, kDegree,
+                    RunBenchmarkTraffic(CcPolicyIdByName("dcqcn"), kDegree,
                                         kPairs, kDuration, kSeed, topo)});
   }
 
@@ -60,13 +60,13 @@ int main() {
     topo.switch_config.red.kmin = 120 * kKB;
     topo.switch_config.red.kmax = 320 * kKB;
     rows.push_back({"DCQCN (misconfigured)",
-                    RunBenchmarkTraffic(TransportMode::kRdmaDcqcn, kDegree,
+                    RunBenchmarkTraffic(CcPolicyIdByName("dcqcn"), kDegree,
                                         kPairs, kDuration, kSeed, topo)});
   }
 
   // 4. DCQCN, correct thresholds.
   rows.push_back({"DCQCN",
-                  RunBenchmarkTraffic(TransportMode::kRdmaDcqcn, kDegree,
+                  RunBenchmarkTraffic(CcPolicyIdByName("dcqcn"), kDegree,
                                       kPairs, kDuration, kSeed,
                                       DefaultTopo())});
 

@@ -14,7 +14,7 @@ using namespace dcqcn;
 
 namespace {
 
-Cdf RunIncast(TransportMode mode, const RedEcnConfig& red, int degree) {
+Cdf RunIncast(int16_t policy, const RedEcnConfig& red, int degree) {
   Network net(12);
   TopologyOptions opt;
   opt.switch_config.red = red;
@@ -25,7 +25,7 @@ Cdf RunIncast(TransportMode mode, const RedEcnConfig& red, int degree) {
     f.src_host = topo.hosts[static_cast<size_t>(i)]->id();
     f.dst_host = topo.hosts[static_cast<size_t>(degree)]->id();
     f.size_bytes = 0;
-    f.mode = mode;
+    f.cc_policy = policy;
     net.StartFlow(f);
   }
   telemetry::ProbeSet probes(&net.eq(), Microseconds(10));
@@ -46,9 +46,9 @@ int main() {
   std::printf("%8s | %12s %12s | %12s %12s\n", "", "DCQCN p50", "p90",
               "DCTCP p50", "p90");
   for (int degree : {2, 8, 20}) {
-    const Cdf dcqcn_q = RunIncast(TransportMode::kRdmaDcqcn,
+    const Cdf dcqcn_q = RunIncast(CcPolicyIdByName("dcqcn"),
                                   RedEcnConfig::Deployment(), degree);
-    const Cdf dctcp_q = RunIncast(TransportMode::kDctcp,
+    const Cdf dctcp_q = RunIncast(CcPolicyIdByName("dctcp"),
                                   RedEcnConfig::CutOff(160 * kKB), degree);
     std::printf("%6d:1 | %12.1f %12.1f | %12.1f %12.1f\n", degree,
                 dcqcn_q.Quantile(0.5) / 1e3, dcqcn_q.Quantile(0.9) / 1e3,

@@ -1,4 +1,4 @@
-#include "transport/fig1_host_curves.h"
+#include "bench/fig1_host_curves.h"
 
 #include <algorithm>
 

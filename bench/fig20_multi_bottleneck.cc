@@ -53,7 +53,6 @@ Rates Run(const DcqcnParams& params) {
   f3.dst_host = r2->id();
   for (FlowSpec* f : {&f1, &f2, &f3}) {
     f->size_bytes = 0;
-    f->mode = TransportMode::kRdmaDcqcn;
     net.StartFlow(*f);
   }
   telemetry::ProbeSet probes(&net.eq(), Milliseconds(1));

@@ -103,7 +103,6 @@ void BM_SimulatedIncastMillisecond(benchmark::State& state) {
     f.src_host = topo.hosts[static_cast<size_t>(i)]->id();
     f.dst_host = topo.hosts[static_cast<size_t>(k)]->id();
     f.size_bytes = 0;
-    f.mode = TransportMode::kRdmaDcqcn;
     net.StartFlow(f);
   }
   for (auto _ : state) {
@@ -130,7 +129,6 @@ void BM_SwitchHotPath(benchmark::State& state) {
     f.src_host = topo.hosts[static_cast<size_t>(i)]->id();
     f.dst_host = topo.hosts[static_cast<size_t>(k)]->id();
     f.size_bytes = 0;
-    f.mode = TransportMode::kRdmaDcqcn;
     net.StartFlow(f);
   }
   for (auto _ : state) {
@@ -196,7 +194,6 @@ void BM_NicTimerTick(benchmark::State& state) {
     f.src_host = topo.hosts[0]->id();
     f.dst_host = topo.hosts[1]->id();
     f.size_bytes = 0;
-    f.mode = TransportMode::kRdmaDcqcn;
     qps.push_back(net.StartFlow(f));
   }
   net.RunFor(Microseconds(1));  // past flow starts
@@ -256,7 +253,7 @@ void BM_NicManyQpArbitration(benchmark::State& state) {
     f.dst_host = topo.hosts[1]->id();
     // Active flows spread over the table (and both bitmap words' range).
     f.size_bytes = i % (kQps / kActive) == kQps / kActive - 1 ? 0 : 1000;
-    f.mode = TransportMode::kRdmaRaw;
+    f.cc_policy = CcPolicyIdByName("raw");
     net.StartFlow(f);
   }
   net.RunFor(Microseconds(200));  // small flows complete
@@ -344,7 +341,6 @@ void BM_FlowChurn(benchmark::State& state) {
       f.dst_host = hosts[static_cast<size_t>((src + n / 2) % n)]->id();
       f.size_bytes = kMtu;
       f.start_time = net->eq().Now() + j * Nanoseconds(100);
-      f.mode = TransportMode::kRdmaDcqcn;
       net->StartFlow(f);
     }
     while (completed < kBatch) net->RunFor(Microseconds(5));
@@ -385,7 +381,6 @@ void BM_LargeClosThroughput(benchmark::State& state) {
       fs.src_host = hosts[static_cast<size_t>(i)]->id();
       fs.dst_host = hosts[static_cast<size_t>(dst)]->id();
       fs.size_bytes = 0;
-      fs.mode = TransportMode::kRdmaDcqcn;
       fs.ecmp_salt = traffic.NextU64();
       net.StartFlow(fs);
     }
@@ -431,7 +426,6 @@ void BM_LargeClosShardedThroughput(benchmark::State& state) {
       fs.src_host = hosts[static_cast<size_t>(i)]->id();
       fs.dst_host = hosts[static_cast<size_t>(dst)]->id();
       fs.size_bytes = 0;
-      fs.mode = TransportMode::kRdmaDcqcn;
       fs.ecmp_salt = traffic.NextU64();
       net.StartFlow(fs);
     }
@@ -493,7 +487,6 @@ void BM_CrossShardChannel(benchmark::State& state) {
       fs.dst_host =
           topo.host((tor + 2) % shape.num_tors(), h)->id();
       fs.size_bytes = 0;
-      fs.mode = TransportMode::kRdmaDcqcn;
       fs.ecmp_salt = traffic.NextU64();
       net.StartFlow(fs);
     }
@@ -532,7 +525,7 @@ void BM_HybridFastForward(benchmark::State& state) {
   for (const auto& tor_hosts : topo.hosts_by_tor) {
     hosts.insert(hosts.end(), tor_hosts.begin(), tor_hosts.end());
   }
-  workload::SimWorkloadHost whost(net, hosts, TransportMode::kRdmaDcqcn, -1);
+  workload::SimWorkloadHost whost(net, hosts);
   workload::PoissonOptions popt;
   popt.offered_load = Gbps(40) * static_cast<double>(hosts.size()) * 0.01;
   popt.seed = 17;

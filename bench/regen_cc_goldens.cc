@@ -19,24 +19,16 @@ using namespace dcqcn;
 
 namespace {
 
-struct ModeEntry {
-  const char* name;
-  TransportMode mode;
-};
+// The pinned policies, in pin order.
+constexpr const char* kPolicies[] = {"dcqcn", "dctcp", "timely", "qcn"};
 
-constexpr ModeEntry kModes[] = {
-    {"dcqcn", TransportMode::kRdmaDcqcn},
-    {"dctcp", TransportMode::kDctcp},
-    {"timely", TransportMode::kTimely},
-    {"qcn", TransportMode::kQcn},
-};
-
-// The golden_test 2-flow star scenario, parameterized by transport mode
-// (must mirror tests/golden_test.cc RunScenario exactly).
-void PrintGoldenConstants(TransportMode mode, const char* name) {
+// The golden_test 2-flow star scenario, parameterized by policy (must
+// mirror tests/golden_test.cc RunScenario exactly).
+void PrintGoldenConstants(const char* name) {
+  const int16_t policy = CcPolicyIdByName(name);
   Network net(42);
   TopologyOptions opt;
-  cc::ApplyCcSwitchDefaults(mode, &opt.switch_config);
+  cc::ApplyCcSwitchDefaults(policy, &opt.switch_config);
   StarTopology topo = BuildStar(net, 3, opt);
   for (int i = 0; i < 2; ++i) {
     FlowSpec f;
@@ -44,7 +36,7 @@ void PrintGoldenConstants(TransportMode mode, const char* name) {
     f.src_host = topo.hosts[static_cast<size_t>(i)]->id();
     f.dst_host = topo.hosts[2]->id();
     f.size_bytes = 0;
-    f.mode = mode;
+    f.cc_policy = policy;
     net.StartFlow(f);
   }
   net.RunFor(Milliseconds(2));
@@ -73,28 +65,30 @@ void PrintGoldenConstants(TransportMode mode, const char* name) {
 
 int main(int argc, char** argv) {
   if (argc == 4 && std::strcmp(argv[1], "--trace") == 0) {
-    for (const ModeEntry& m : kModes) {
-      if (std::strcmp(argv[3], m.name) == 0) {
-        const std::string t = cc::RunScenarioTrace(argv[2], m.mode, 42);
+    for (const char* name : kPolicies) {
+      if (std::strcmp(argv[3], name) == 0) {
+        const std::string t =
+            cc::RunScenarioTrace(argv[2], CcPolicyIdByName(name), 42);
         std::fputs(t.c_str(), stdout);
         return 0;
       }
     }
-    std::fprintf(stderr, "unknown mode %s\n", argv[3]);
+    std::fprintf(stderr, "unknown policy %s\n", argv[3]);
     return 1;
   }
 
   std::printf("// ---- cc_differential_test fingerprints (seed 42) ----\n");
   for (const std::string& scenario : cc::ConformanceScenarios()) {
-    for (const ModeEntry& m : kModes) {
-      const std::string t = cc::RunScenarioTrace(scenario, m.mode, 42);
+    for (const char* name : kPolicies) {
+      const std::string t =
+          cc::RunScenarioTrace(scenario, CcPolicyIdByName(name), 42);
       std::printf("{\"%s\", \"%s\", 0x%016llxull, %zu},\n", scenario.c_str(),
-                  m.name,
+                  name,
                   static_cast<unsigned long long>(cc::TraceFingerprint(t)),
                   t.size());
     }
   }
   std::printf("\n// ---- golden_test per-policy constants ----\n");
-  for (const ModeEntry& m : kModes) PrintGoldenConstants(m.mode, m.name);
+  for (const char* name : kPolicies) PrintGoldenConstants(name);
   return 0;
 }

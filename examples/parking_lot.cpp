@@ -60,7 +60,6 @@ void Run(const DcqcnParams& params, const char* label) {
   f3.dst_host = r2->id();
   for (FlowSpec* f : {&f1, &f2, &f3}) {
     f->size_bytes = 0;  // greedy
-    f->mode = TransportMode::kRdmaDcqcn;
     net.StartFlow(*f);
   }
 

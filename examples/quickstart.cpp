@@ -33,7 +33,6 @@ int main() {
     f.dst_host = topo.hosts[2]->id();
     f.size_bytes = 0;  // greedy
     f.start_time = i * Milliseconds(2);
-    f.mode = TransportMode::kRdmaDcqcn;
     net.StartFlow(f);
   }
 

@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
   if (!Parse(argc, argv, &args)) return 2;
 
   // Factory lookup: --cc names the CcPolicy; its registration also fixes
-  // the wire behavior (TransportMode) its flows ride on.
+  // the receiver feedback and switch defaults its flows ride on.
   const int16_t cc_policy = CcPolicyIdByName(args.cc);
   if (cc_policy < 0) {
     std::string names;
@@ -147,7 +147,6 @@ int main(int argc, char** argv) {
                  args.cc.c_str(), names.c_str());
     return 2;
   }
-  const TransportMode cc_mode = CcPolicyInfoById(cc_policy).mode;
 
   // --host: validate the spec up front; the config lands in every NIC via
   // TopologyOptions below, and emission is routed through VerbsWorkloadHost.
@@ -202,7 +201,7 @@ int main(int argc, char** argv) {
   // events (fault markers, early PAUSE edges) alongside the dense ones.
   if (!args.trace_path.empty()) net.EnableTracing(size_t{1} << 20);
   TopologyOptions opt;
-  cc::ApplyCcSwitchDefaults(cc_mode, &opt.switch_config);
+  cc::ApplyCcSwitchDefaults(cc_policy, &opt.switch_config);
   opt.switch_config.pfc_enabled = args.pfc;
   if (!args.pfc) opt.switch_config.lossy_egress_cap = 1 * kMiB;
   if (args.storm_host >= 0) {
@@ -254,13 +253,13 @@ int main(int argc, char** argv) {
   std::unique_ptr<workload::VerbsWorkloadHost> verbs_host;
   const workload::WorkloadMetrics* wl_metrics = nullptr;
   if (host_cfg.enabled) {
-    verbs_host = std::make_unique<workload::VerbsWorkloadHost>(
-        net, hosts, cc_mode, cc_policy);
+    verbs_host =
+        std::make_unique<workload::VerbsWorkloadHost>(net, hosts, cc_policy);
     verbs_host->Begin(*pattern);
     wl_metrics = &verbs_host->metrics();
   } else {
-    wl_host = std::make_unique<workload::SimWorkloadHost>(net, hosts, cc_mode,
-                                                          cc_policy);
+    wl_host =
+        std::make_unique<workload::SimWorkloadHost>(net, hosts, cc_policy);
     wl_host->Begin(*pattern);
     wl_metrics = &wl_host->metrics();
   }

@@ -9,6 +9,7 @@
 // Usage: storage_backend [incast_degree] [num_pairs]   (defaults 8, 12)
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "net/topology.h"
 #include "workload/pairs.h"
@@ -20,7 +21,7 @@ namespace {
 
 constexpr Time kRunTime = Milliseconds(40);
 
-void RunOnce(TransportMode mode, int incast_degree, int pairs) {
+void RunOnce(const char* cc, int incast_degree, int pairs) {
   Network net(/*seed=*/2026);
   ClosTopology topo = BuildClos(net, /*hosts_per_tor=*/5, TopologyOptions{});
 
@@ -29,7 +30,7 @@ void RunOnce(TransportMode mode, int incast_degree, int pairs) {
   opt.incast_degree = incast_degree;
   opt.seed = 7;
   workload::PairsPattern traffic(opt);
-  workload::SimWorkloadHost host(net, topo.AllHosts(), mode);
+  workload::SimWorkloadHost host(net, topo.AllHosts(), CcPolicyIdByName(cc));
   host.Begin(traffic);
   net.RunFor(kRunTime);
 
@@ -37,8 +38,7 @@ void RunOnce(TransportMode mode, int incast_degree, int pairs) {
   for (auto* s : topo.spines) {
     spine_pauses += s->counters().pause_frames_received;
   }
-  const char* label =
-      mode == TransportMode::kRdmaDcqcn ? "DCQCN " : "PFC-only";
+  const char* label = std::strcmp(cc, "dcqcn") == 0 ? "DCQCN " : "PFC-only";
   std::printf(
       "%s: user median %5.2f Gbps, user p10 %5.2f | rebuild median %5.2f, "
       "p10 %5.2f | PAUSE@spines %lld | drops %lld\n",
@@ -59,8 +59,8 @@ int main(int argc, char** argv) {
       "Cloud-storage backend on the Fig. 2 Clos testbed: %d user pairs + "
       "%d:1 disk-rebuild incast, %.0f ms\n\n",
       pairs, degree, ToMilliseconds(kRunTime));
-  RunOnce(TransportMode::kRdmaRaw, degree, pairs);
-  RunOnce(TransportMode::kRdmaDcqcn, degree, pairs);
+  RunOnce("raw", degree, pairs);
+  RunOnce("dcqcn", degree, pairs);
   std::printf(
       "\nDCQCN keeps the fabric nearly PAUSE-free, so the incast cannot "
       "spread congestion into the user traffic.\n");

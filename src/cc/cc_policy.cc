@@ -8,6 +8,7 @@
 #include "cc/raw_policy.h"
 #include "cc/timely_policy.h"
 #include "common/check.h"
+#include "nic/flow.h"
 
 namespace dcqcn {
 namespace {
@@ -23,12 +24,12 @@ CcPolicyInfo BuiltIn(const char* name, TransportMode mode) {
   return info;
 }
 
-// Registration order fixes the ids; the first entry for a TransportMode is
-// that mode's default (what FlowSpec::cc_policy = -1 resolves to).
+// Registration order fixes the ids; dcqcn's is every flow's default.
 std::vector<CcPolicyInfo>& MutableRegistry() {
   static std::vector<CcPolicyInfo>* registry = [] {
     auto* r = new std::vector<CcPolicyInfo>();
     r->push_back(BuiltIn<RawPolicy>("raw", TransportMode::kRdmaRaw));
+    DCQCN_CHECK(r->size() == static_cast<size_t>(kDcqcnPolicyId));
     r->push_back(BuiltIn<DcqcnPolicy>("dcqcn", TransportMode::kRdmaDcqcn));
     r->push_back(BuiltIn<DctcpPolicy>("dctcp", TransportMode::kDctcp));
     r->push_back(BuiltIn<QcnPolicy>("qcn", TransportMode::kQcn));
@@ -63,15 +64,6 @@ int16_t CcPolicyIdByName(const std::string& name) {
   for (size_t i = 0; i < registry.size(); ++i) {
     if (registry[i].name == name) return static_cast<int16_t>(i);
   }
-  return -1;
-}
-
-int16_t DefaultCcPolicyId(TransportMode mode) {
-  const auto& registry = MutableRegistry();
-  for (size_t i = 0; i < registry.size(); ++i) {
-    if (registry[i].mode == mode) return static_cast<int16_t>(i);
-  }
-  DCQCN_CHECK(false && "no policy registered for transport mode");
   return -1;
 }
 

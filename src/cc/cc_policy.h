@@ -2,6 +2,15 @@
 // signal interface, replacing the per-algorithm branches SenderQp used to
 // carry (rp_ / timely_ / inline DCTCP fields).
 //
+// A flow's CC identity is its registered policy id (FlowSpec::cc_policy).
+// DCQCN splits its algorithm across RP, NP and CP (paper Figs. 5-7), so the
+// receiver feedback and switch treatment a flow gets belong to its
+// algorithm too: each registration declares them once, as its
+// TransportMode. Data packets carry the sender's policy id; the receiving
+// NIC reads the registered mode when it opens the flow's receive slot, and
+// cc::ApplyCcSwitchDefaults derives the switch settings from it. Nothing
+// else carries a mode.
+//
 // Contract (the differential pins in tests/cc_differential_test.cc hold the
 // implementations to the pre-refactor traces byte-for-byte):
 //
@@ -22,10 +31,11 @@
 //     at the same points the pre-refactor code traced.
 //
 // Adding a policy: subclass CcPolicy, then register a factory with
-// RegisterCcPolicy{name, transport mode, make}. The name becomes a valid
-// `--cc=` value everywhere (runner, scenario_cli, bench harnesses), and the
-// conformance suite (tests/cc_policy_conformance_test.cc) picks it up
-// automatically from the registry.
+// RegisterCcPolicy({name, mode, make}), where `mode` picks the receiver
+// feedback and switch defaults the policy rides on. The name becomes a
+// valid `--cc=` value everywhere (runner, scenario_cli, bench harnesses),
+// and the conformance suite (tests/cc_policy_conformance_test.cc) picks it
+// up automatically from the registry.
 #pragma once
 
 #include <functional>
@@ -36,10 +46,26 @@
 #include "common/units.h"
 #include "core/rp.h"
 #include "core/timely.h"
-#include "net/packet.h"
 #include "nic/nic_config.h"
 
 namespace dcqcn {
+
+// The wire behavior a policy registers (CcPolicyInfo::mode): which feedback
+// the receiving NIC returns and which switch settings the policy's
+// experiments assume.
+enum class TransportMode : uint8_t {
+  // RoCEv2 at line rate with go-back-N, no congestion control (PFC only) —
+  // the paper's "No DCQCN" baseline.
+  kRdmaRaw,
+  // RoCEv2 with DCQCN: the receiver's NP generates paced CNPs (Fig. 6).
+  kRdmaDcqcn,
+  // Window-based DCTCP: the receiver ACKs every packet, echoing its CE bit.
+  kDctcp,
+  // QCN (802.1Qau): quantized switch feedback, L2-scoped (§2.3 baseline).
+  kQcn,
+  // TIMELY: RTT-gradient rate control (extension baseline, §3.3).
+  kTimely,
+};
 
 // The two hardware timers a reaction point may hold (DCQCN Fig. 7). They
 // map onto the QP's embedded nodes in the NIC's batched per-NIC timer heap.
@@ -137,20 +163,19 @@ struct CcPolicyInfo {
   std::string name;
   // Wire behavior this policy rides on: what the receiver echoes (CNPs,
   // per-packet ECN ACKs, ...) and how switches treat the flow's packets.
+  // The only place a policy's mode is declared.
   TransportMode mode = TransportMode::kRdmaDcqcn;
   std::function<std::unique_ptr<CcPolicy>(const NicConfig&, Rate line_rate)>
       make;
 };
 
 // Registers a policy; returns its id (the FlowSpec::cc_policy value).
-// Built-ins (raw, dcqcn, dctcp, qcn, timely) are pre-registered.
+// Built-ins (raw, dcqcn, dctcp, qcn, timely) are pre-registered in that
+// order, so dcqcn's id is kDcqcnPolicyId (nic/flow.h), every flow's default.
 int16_t RegisterCcPolicy(CcPolicyInfo info);
 
 // Name lookup; -1 if unknown.
 int16_t CcPolicyIdByName(const std::string& name);
-// The canonical policy for a transport mode (what FlowSpec::cc_policy = -1
-// resolves to).
-int16_t DefaultCcPolicyId(TransportMode mode);
 const CcPolicyInfo& CcPolicyInfoById(int16_t id);
 // Registered names, in registration order (the `--cc=` domain).
 std::vector<std::string> CcPolicyNames();

@@ -7,6 +7,7 @@
 #include <algorithm>
 
 #include "cc/cc_policy.h"
+#include "net/packet.h"
 
 namespace dcqcn {
 

@@ -27,15 +27,13 @@ void Append(std::string* out, const char* fmt, ...) {
 }
 
 TrackedFlow StartFlow(Network& net, RdmaNic* src, RdmaNic* dst, Bytes size,
-                      TransportMode mode, Time start,
-                      int16_t cc_policy = -1) {
+                      int16_t policy, Time start) {
   FlowSpec f;
   f.flow_id = net.NextFlowId();
   f.src_host = src->id();
   f.dst_host = dst->id();
   f.size_bytes = size;
-  f.mode = mode;
-  f.cc_policy = cc_policy;
+  f.cc_policy = policy;
   f.start_time = start;
   net.StartFlow(f);
   return TrackedFlow{f.flow_id, f.src_host, f.dst_host};
@@ -103,23 +101,32 @@ std::string RunAndDigest(Network& net, const std::vector<TrackedFlow>& flows,
   return out;
 }
 
-TopologyOptions TopoFor(TransportMode mode) {
+void SwitchDefaultsFor(TransportMode mode, SwitchConfig* cfg) {
+  if (mode == TransportMode::kTimely) {
+    cfg->red.enabled = false;
+  } else if (mode == TransportMode::kQcn) {
+    cfg->red.enabled = false;
+    cfg->qcn.enabled = true;
+  }
+}
+
+TopologyOptions TopoFor(int16_t policy) {
   TopologyOptions opt;
-  ApplyCcSwitchDefaults(mode, &opt.switch_config);
+  ApplyCcSwitchDefaults(policy, &opt.switch_config);
   return opt;
 }
 
 // fig08-style parking lot: four staggered 8 MB transfers into one receiver
 // through a single switch; the stagger is short enough that all four
 // overlap, so the digest sees fairness convergence *and* completion.
-std::string Fig08(TransportMode mode, uint64_t seed, int16_t cc_policy) {
+std::string Fig08(int16_t policy, uint64_t seed) {
   Network net(seed);
-  StarTopology topo = BuildStar(net, 5, TopoFor(mode));
+  StarTopology topo = BuildStar(net, 5, TopoFor(policy));
   std::vector<TrackedFlow> flows;
   for (int i = 0; i < 4; ++i) {
     flows.push_back(StartFlow(net, topo.hosts[static_cast<size_t>(i)],
-                              topo.hosts[4], 8 * kMiB, mode,
-                              i * Microseconds(200), cc_policy));
+                              topo.hosts[4], 8 * kMiB, policy,
+                              i * Microseconds(200)));
   }
   return RunAndDigest(net, flows, Milliseconds(12), 6, "scenario=fig08\n");
 }
@@ -127,44 +134,43 @@ std::string Fig08(TransportMode mode, uint64_t seed, int16_t cc_policy) {
 // fig09-style Clos victim: a cross-pod incast into R while a victim flow
 // crosses the congested ToR; exercises routed CNP/feedback paths and PFC
 // back-pressure across tiers.
-std::string Fig09(TransportMode mode, uint64_t seed, int16_t cc_policy) {
+std::string Fig09(int16_t policy, uint64_t seed) {
   Network net(seed);
-  ClosTopology topo = BuildClos(net, 2, TopoFor(mode));
+  ClosTopology topo = BuildClos(net, 2, TopoFor(policy));
   std::vector<TrackedFlow> flows;
   RdmaNic* r = topo.host(3, 0);
-  flows.push_back(StartFlow(net, topo.host(0, 0), r, 0, mode, 0, cc_policy));
-  flows.push_back(StartFlow(net, topo.host(1, 0), r, 0, mode, 0, cc_policy));
-  flows.push_back(StartFlow(net, topo.host(2, 0), r, 0, mode, 0, cc_policy));
-  flows.push_back(StartFlow(net, topo.host(2, 1), r, 0, mode, 0, cc_policy));
+  flows.push_back(StartFlow(net, topo.host(0, 0), r, 0, policy, 0));
+  flows.push_back(StartFlow(net, topo.host(1, 0), r, 0, policy, 0));
+  flows.push_back(StartFlow(net, topo.host(2, 0), r, 0, policy, 0));
+  flows.push_back(StartFlow(net, topo.host(2, 1), r, 0, policy, 0));
   // Victim: pod-0-internal, shares T1's uplinks with the incast senders.
-  flows.push_back(StartFlow(net, topo.host(0, 1), topo.host(1, 1), 0, mode,
-                            Milliseconds(1), cc_policy));
+  flows.push_back(StartFlow(net, topo.host(0, 1), topo.host(1, 1), 0, policy,
+                            Milliseconds(1)));
   return RunAndDigest(net, flows, Milliseconds(10), 5, "scenario=fig09\n");
 }
 
 // Star victim: a 6:1 incast plus an unrelated flow whose ingress shares the
 // switch buffer — the PFC-collateral-damage shape on one switch.
-std::string Victim(TransportMode mode, uint64_t seed, int16_t cc_policy) {
+std::string Victim(int16_t policy, uint64_t seed) {
   Network net(seed);
-  StarTopology topo = BuildStar(net, 8, TopoFor(mode));
+  StarTopology topo = BuildStar(net, 8, TopoFor(policy));
   std::vector<TrackedFlow> flows;
   for (int i = 0; i < 6; ++i) {
     flows.push_back(StartFlow(net, topo.hosts[static_cast<size_t>(i)],
-                              topo.hosts[6], 0, mode, 0, cc_policy));
+                              topo.hosts[6], 0, policy, 0));
   }
-  flows.push_back(
-      StartFlow(net, topo.hosts[7], topo.hosts[5], 0, mode, 0, cc_policy));
+  flows.push_back(StartFlow(net, topo.hosts[7], topo.hosts[5], 0, policy, 0));
   return RunAndDigest(net, flows, Milliseconds(10), 5, "scenario=victim\n");
 }
 
 // 8:1 greedy incast through one switch — the densest feedback workload.
-std::string Incast(TransportMode mode, uint64_t seed, int16_t cc_policy) {
+std::string Incast(int16_t policy, uint64_t seed) {
   Network net(seed);
-  StarTopology topo = BuildStar(net, 9, TopoFor(mode));
+  StarTopology topo = BuildStar(net, 9, TopoFor(policy));
   std::vector<TrackedFlow> flows;
   for (int i = 0; i < 8; ++i) {
     flows.push_back(StartFlow(net, topo.hosts[static_cast<size_t>(i)],
-                              topo.hosts[8], 0, mode, 0, cc_policy));
+                              topo.hosts[8], 0, policy, 0));
   }
   return RunAndDigest(net, flows, Milliseconds(10), 5, "scenario=incast\n");
 }
@@ -175,21 +181,20 @@ std::vector<std::string> ConformanceScenarios() {
   return {"fig08", "fig09", "victim", "incast"};
 }
 
-void ApplyCcSwitchDefaults(TransportMode mode, SwitchConfig* cfg) {
-  if (mode == TransportMode::kTimely) {
-    cfg->red.enabled = false;
-  } else if (mode == TransportMode::kQcn) {
-    cfg->red.enabled = false;
-    cfg->qcn.enabled = true;
-  }
+void ApplyCcSwitchDefaults(int16_t policy, SwitchConfig* cfg) {
+  SwitchDefaultsFor(CcPolicyInfoById(policy).mode, cfg);
 }
 
-std::string RunScenarioTrace(const std::string& scenario, TransportMode mode,
-                             uint64_t seed, int16_t cc_policy) {
-  if (scenario == "fig08") return Fig08(mode, seed, cc_policy);
-  if (scenario == "fig09") return Fig09(mode, seed, cc_policy);
-  if (scenario == "victim") return Victim(mode, seed, cc_policy);
-  if (scenario == "incast") return Incast(mode, seed, cc_policy);
+void ApplyCcSwitchDefaults(TransportMode mode, SwitchConfig* cfg) {
+  SwitchDefaultsFor(mode, cfg);
+}
+
+std::string RunScenarioTrace(const std::string& scenario, int16_t policy,
+                             uint64_t seed) {
+  if (scenario == "fig08") return Fig08(policy, seed);
+  if (scenario == "fig09") return Fig09(policy, seed);
+  if (scenario == "victim") return Victim(policy, seed);
+  if (scenario == "incast") return Incast(policy, seed);
   DCQCN_CHECK(false && "unknown conformance scenario");
   return "";
 }

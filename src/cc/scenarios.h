@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "net/packet.h"
+#include "cc/cc_policy.h"
 #include "net/switch.h"
 
 namespace dcqcn {
@@ -30,21 +30,20 @@ namespace cc {
 // (8:1 single-switch incast).
 std::vector<std::string> ConformanceScenarios();
 
-// Switch-side defaults a policy's experiments assume: QCN needs the switch
-// congestion point enabled and RED/ECN off; TIMELY runs without RED marking
-// (its signal is delay). DCQCN/DCTCP/raw keep the deployment RED curve.
-// Exactly the per-mode tweaks bench/ext_qcn_comparison and
-// bench/ext_timely_comparison apply.
+// Switch-side defaults a policy's experiments assume, keyed on its
+// registered mode: QCN needs the switch congestion point enabled and
+// RED/ECN off; TIMELY runs without RED marking (its signal is delay).
+// DCQCN/DCTCP/raw keep the deployment RED curve.
+void ApplyCcSwitchDefaults(int16_t policy, SwitchConfig* cfg);
+// perfbench only; deleted by the benchmark PR.
 void ApplyCcSwitchDefaults(TransportMode mode, SwitchConfig* cfg);
 
-// Runs `scenario` with every flow under `mode` at `seed`; returns the full
-// textual trace. Aborts on an unknown scenario name. `cc_policy` selects a
-// registered CcPolicy id for every flow (-1 = the default policy for
-// `mode`, which leaves the pinned traces untouched) — the conformance suite
-// uses it to push *every* registered policy, including test-registered
-// ones, through the same scenarios.
-std::string RunScenarioTrace(const std::string& scenario, TransportMode mode,
-                             uint64_t seed, int16_t cc_policy = -1);
+// Runs `scenario` with every flow under the registered CcPolicy `policy`
+// at `seed`; returns the full textual trace. Aborts on an unknown scenario
+// name. Any registered policy, including test-registered ones, rides the
+// same scenarios.
+std::string RunScenarioTrace(const std::string& scenario, int16_t policy,
+                             uint64_t seed);
 
 // FNV-1a 64-bit fingerprint of a trace (what the differential test pins;
 // the full trace is printed on mismatch for diffing).

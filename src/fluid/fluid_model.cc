@@ -109,8 +109,6 @@ double FluidModel::RedP(double q_bytes) const {
   return params_.pmax * (q_bytes - kmin) / (kmax - kmin);
 }
 
-double FluidModel::marking_probability() const { return RedP(q_); }
-
 double FluidModel::TotalRatePps() const {
   double sum = 0;
   for (const auto& f : flows_) {

@@ -98,7 +98,6 @@ class FluidModel {
 
   double time() const { return t_; }
   double queue_bytes() const { return q_; }
-  double marking_probability() const;
   const FluidFlowState& flow(int i) const {
     return flows_[static_cast<size_t>(i)];
   }

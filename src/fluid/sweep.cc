@@ -79,25 +79,4 @@ runner::TrialSpec IncastQueueTrial(std::string name, const FluidParams& params,
   return spec;
 }
 
-runner::TrialSpec TwoFlowConvergenceTrial(std::string name,
-                                          const FluidParams& params,
-                                          double sim_seconds,
-                                          double measure_from,
-                                          double sample_period) {
-  runner::TrialSpec spec;
-  spec.name = std::move(name);
-  spec.run = [params, sim_seconds, measure_from,
-              sample_period](const runner::TrialContext&) {
-    runner::TrialResult r;
-    ConvergenceResult c =
-        TwoFlowConvergence(params, sim_seconds, measure_from, sample_period);
-    r.metrics["mean_abs_diff_gbps"] = c.mean_abs_diff_gbps;
-    r.metrics["final_abs_diff_gbps"] = c.final_abs_diff_gbps;
-    r.metrics["mean_queue_bytes"] = c.mean_queue_bytes;
-    r.series["abs_diff_gbps"] = std::move(c.diff_series);
-    return r;
-  };
-  return spec;
-}
-
 }  // namespace dcqcn

@@ -50,12 +50,4 @@ runner::TrialSpec IncastQueueTrial(std::string name, const FluidParams& params,
                                    double sample_period = 0.5e-3,
                                    Time tail_from = Milliseconds(50));
 
-// Fig. 11 cell: two-flow convergence. Result carries the |R1-R2| series
-// ("abs_diff_gbps") and the ConvergenceResult scalars as metrics.
-runner::TrialSpec TwoFlowConvergenceTrial(std::string name,
-                                          const FluidParams& params,
-                                          double sim_seconds = 0.2,
-                                          double measure_from = 0.1,
-                                          double sample_period = 1e-3);
-
 }  // namespace dcqcn

@@ -3,7 +3,7 @@
 // This is the SIMULATED host path (PR 8): a message-level queueing model of
 // the verbs/doorbell/PCIe/context-cache pipeline that sits between a
 // workload and the wire (see host_device.h). It is unrelated to
-// `transport/fig1_host_curves.h`, which is a closed-form analytic TCP-vs-RDMA
+// `bench/fig1_host_curves.h`, which is a closed-form analytic TCP-vs-RDMA
 // CPU/latency curve used only by the Fig. 1 motivation bench.
 //
 // Everything is OFF by default (`enabled = false`): a NicConfig with the

@@ -24,22 +24,6 @@ inline constexpr Bytes kMtu = 1000;
 // MAC control frame size used for PFC PAUSE/RESUME and for ACK/NAK/CNP.
 inline constexpr Bytes kControlFrameBytes = 64;
 
-// Which transport produced a data packet. Receivers use this to pick the
-// feedback path: DCQCN's NP generates CNPs, DCTCP echoes CE bits in ACKs.
-enum class TransportMode : uint8_t {
-  // RoCEv2 at line rate with go-back-N, no congestion control (PFC only) —
-  // the paper's "No DCQCN" baseline.
-  kRdmaRaw,
-  // RoCEv2 with DCQCN (RP at the sender, NP at the receiver).
-  kRdmaDcqcn,
-  // Window-based DCTCP over the same fabric (the Fig. 19 baseline).
-  kDctcp,
-  // QCN (802.1Qau): quantized switch feedback, L2-scoped (§2.3 baseline).
-  kQcn,
-  // TIMELY: RTT-gradient rate control (extension baseline, §3.3).
-  kTimely,
-};
-
 enum class PacketType : uint8_t {
   kData,    // RDMA payload segment
   kAck,     // cumulative acknowledgment (go-back-N)
@@ -71,8 +55,9 @@ struct Packet {
   // ECN: set by the congestion point (switch egress RED), echoed by NP.
   bool ecn_ce = false;
 
-  // Transport of the owning flow (data packets; echoed on ACKs).
-  TransportMode transport = TransportMode::kRdmaDcqcn;
+  // Data packets: the sender's congestion-control policy id. The receiver
+  // looks up the policy's registered feedback when it first sees the flow.
+  int16_t cc_policy = -1;
 
   // PFC frames only: which priority class the PAUSE/RESUME applies to.
   int8_t pfc_priority = 0;
@@ -93,6 +78,9 @@ struct Packet {
     return type == PacketType::kPause || type == PacketType::kResume;
   }
 };
+
+// Packets are copied by value through every queue; keep them one cache line.
+static_assert(sizeof(Packet) == 64);
 
 // Mixes an ECMP key with a per-switch salt. SplitMix64 finalizer: cheap and
 // well distributed, so consecutive flow ids spread across paths.

@@ -9,6 +9,10 @@
 
 namespace dcqcn {
 
+// dcqcn's registered CcPolicy id: the built-ins register in a fixed order
+// (cc/cc_policy.cc checks this constant against it).
+inline constexpr int16_t kDcqcnPolicyId = 1;
+
 struct FlowSpec {
   int32_t flow_id = -1;
   int32_t src_host = -1;
@@ -17,11 +21,10 @@ struct FlowSpec {
   // Total message bytes; <= 0 means an unbounded, greedy flow.
   Bytes size_bytes = 0;
   Time start_time = 0;
-  TransportMode mode = TransportMode::kRdmaDcqcn;
-  // Congestion-control policy id (CcPolicyIdByName); -1 selects the default
-  // policy for `mode`. Lets a flow run a registered non-default policy over
-  // the same wire behavior.
-  int16_t cc_policy = -1;
+  // Congestion-control policy id (CcPolicyIdByName). Its registration also
+  // fixes the flow's wire behavior: the receiver's feedback and the switch
+  // defaults (CcPolicyInfo::mode).
+  int16_t cc_policy = kDcqcnPolicyId;
   // Salt mixed into the flow's ECMP key. Benches vary this per run to model
   // "depending on how ECMP maps the flows" (§2.2).
   uint64_t ecmp_salt = 0;

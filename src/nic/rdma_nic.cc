@@ -204,7 +204,7 @@ void RdmaNic::HybridAdvanceReceiver(const FlowSpec& spec, uint64_t upto_seq) {
   Packet p;
   p.flow_id = spec.flow_id;
   p.src_host = spec.src_host;
-  p.transport = spec.mode;
+  p.cc_policy = spec.cc_policy;
   p.ecmp_key = FlowEcmpKey(spec.flow_id, spec.ecmp_salt);
   RcvFlow* slot = RcvSlot(p);
   DCQCN_CHECK(slot != nullptr);
@@ -409,7 +409,7 @@ RdmaNic::RcvFlow* RdmaNic::RcvSlot(const Packet& p) {
     rcv.src_host = p.src_host;
     rcv.flow_id = p.flow_id;
     rcv.ecmp_key = p.ecmp_key;
-    rcv.transport = p.transport;
+    rcv.mode = CcPolicyInfoById(p.cc_policy).mode;
     rcv_store_.push_back(rcv);
   }
   return &rcv_store_[static_cast<size_t>(slot)];
@@ -430,7 +430,7 @@ void RdmaNic::HandleData(const Packet& p) {
   // per flow per cnp_interval and subject to the NIC-wide generation gate.
   if (p.ecn_ce) {
     counters_.marked_packets_received++;
-    if (p.transport == TransportMode::kRdmaDcqcn &&
+    if (rcv.mode == TransportMode::kRdmaDcqcn &&
         rcv.np.OnMarkedPacket(now, config_.params) &&
         cnp_gate_.Allow(now, config_.params)) {
       counters_.cnps_sent++;
@@ -456,7 +456,7 @@ void RdmaNic::HandleData(const Packet& p) {
     rcv.expect++;
     rcv.delivered += p.size_bytes;
     rcv.in_order_since_ack++;
-    if (p.transport == TransportMode::kDctcp) {
+    if (rcv.mode == TransportMode::kDctcp) {
       // DCTCP: per-packet ACK echoing this packet's CE bit.
       counters_.acks_sent++;
       SendControl(PacketType::kAck, rcv, p.flow_id, rcv.expect, p.ecn_ce);
@@ -485,7 +485,7 @@ void RdmaNic::HandleData(const Packet& p) {
       rcv.last_nak = now;
       counters_.acks_sent++;
       SendControl(PacketType::kAck, rcv, p.flow_id, rcv.expect,
-                  p.transport == TransportMode::kDctcp && p.ecn_ce);
+                  rcv.mode == TransportMode::kDctcp && p.ecn_ce);
     }
   }
 }
@@ -570,7 +570,6 @@ void RdmaNic::SendControl(PacketType type, const RcvFlow& rcv, int flow_id,
   c.size_bytes = kControlFrameBytes;
   c.seq = seq;
   c.ecn_ce = ecn_echo;
-  c.transport = rcv.transport;
   c.tx_timestamp = type == PacketType::kAck ? rcv.last_data_ts : 0;
   c.ecmp_key = rcv.ecmp_key;
   EnqueueControl(c);

@@ -226,7 +226,9 @@ class RdmaNic : public Node {
     int32_t src_host = -1;
     int32_t flow_id = -1;  // back-pointer for packed-store swap-erase
     uint64_t ecmp_key = 0;
-    TransportMode transport = TransportMode::kRdmaDcqcn;
+    // The sending policy's registered wire behavior, read once at slot
+    // open: picks CNPs vs per-packet ECN-echo ACKs.
+    TransportMode mode = TransportMode::kRdmaDcqcn;
     uint64_t expect = 0;       // next in-order sequence
     Time last_data_ts = 0;     // echoed on ACKs for RTT measurement
     Bytes delivered = 0;       // cumulative in-order payload bytes

@@ -24,10 +24,7 @@ SenderQp::SenderQp(EventQueue* eq, RdmaNic* nic, FlowSpec spec,
   alpha_node_.kind = static_cast<uint8_t>(CcTimerKind::kAlpha);
   rate_node_.qp = this;
   rate_node_.kind = static_cast<uint8_t>(CcTimerKind::kRate);
-  const int16_t policy_id = spec_.cc_policy >= 0
-                                ? spec_.cc_policy
-                                : DefaultCcPolicyId(spec_.mode);
-  cc_ = CreateCcPolicy(policy_id, config, line_rate_);
+  cc_ = CreateCcPolicy(spec_.cc_policy, config, line_rate_);
   if (unbounded_) {
     // One endless message.
     messages_.push_back(Message{0, std::numeric_limits<uint64_t>::max(), 0,
@@ -127,7 +124,7 @@ Packet SenderQp::BuildNextPacket() const {
   // of the retransmissions are lost too.
   p.message_restart = go_back_zero_ && !unbounded_ &&
                       !cc_->window_based() && snd_next_ < snd_high_;
-  p.transport = spec_.mode;
+  p.cc_policy = spec_.cc_policy;
   p.tx_timestamp = eq_->Now();
   p.ecmp_key = FlowEcmpKey(spec_.flow_id, spec_.ecmp_salt);
   return p;
@@ -227,22 +224,6 @@ void SenderQp::CompleteMessages(Time now) {
     rec.bytes = m.bytes;
     nic_->OnMessageComplete(this, rec);
   }
-}
-
-Bytes SenderQp::UnackedBytes() const {
-  Bytes total = 0;
-  for (size_t i = 0; i < messages_.size(); ++i) {
-    const Message& m = messages_[i];
-    if (m.bytes == 0) continue;  // unbounded sentinel
-    total += m.bytes;
-    if (snd_una_ > m.begin_seq) {
-      const Bytes acked =
-          std::min<Bytes>(static_cast<Bytes>(snd_una_ - m.begin_seq) * kMtu,
-                          m.bytes);
-      total -= acked;
-    }
-  }
-  return total;
 }
 
 void SenderQp::HybridAdvance(Time now, uint64_t upto_seq, Time next_allowed) {

@@ -139,8 +139,6 @@ class SenderQp : public CcHost {
   bool unbounded() const { return unbounded_; }
   Bytes PacketBytesAt(uint64_t seq) const { return PacketBytes(seq); }
   bool LastOfMessageAt(uint64_t seq) const { return IsLastOfMessage(seq); }
-  // Bytes not yet cumulatively acknowledged across all queued messages.
-  Bytes UnackedBytes() const;
   // Messages still queued (0 == complete()). The epoch controller models
   // only single-message QPs; back-to-back enqueues pin a flow to packet mode.
   int OutstandingMessages() const { return static_cast<int>(messages_.size()); }

@@ -270,15 +270,11 @@ CliOptions ParseCli(int argc, char** argv) {
   return cli;
 }
 
-CcSelection ResolveCc(const std::string& cc_name,
-                      TransportMode default_mode) {
-  CcSelection sel;
-  sel.mode = default_mode;
-  if (cc_name.empty()) return sel;
-  sel.policy = CcPolicyIdByName(cc_name);
-  DCQCN_CHECK(sel.policy >= 0);  // ParseCli validated the name
-  sel.mode = CcPolicyInfoById(sel.policy).mode;
-  return sel;
+int16_t ResolveCc(const std::string& cc_name, int16_t default_policy) {
+  if (cc_name.empty()) return default_policy;
+  const int16_t policy = CcPolicyIdByName(cc_name);
+  DCQCN_CHECK(policy >= 0);  // ParseCli validated the name
+  return policy;
 }
 
 bool WriteRequestedOutputs(const CliOptions& cli,

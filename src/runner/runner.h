@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "fault/fault_plan.h"
-#include "net/packet.h"
 #include "stats/stats.h"
 #include "telemetry/event_trace.h"
 #include "telemetry/metric_registry.h"
@@ -172,14 +171,10 @@ struct CliOptions {
 
 CliOptions ParseCli(int argc, char** argv);
 
-// What --cc resolves to for a bench whose flows default to `default_mode`:
-// the policy id to stamp into FlowSpec::cc_policy and the transport mode its
-// wire behavior requires. An empty --cc keeps the bench default (policy -1).
-struct CcSelection {
-  TransportMode mode = TransportMode::kRdmaDcqcn;
-  int16_t policy = -1;
-};
-CcSelection ResolveCc(const std::string& cc_name, TransportMode default_mode);
+// What --cc resolves to for a bench whose flows default to
+// `default_policy`: the CcPolicy id to stamp into FlowSpec::cc_policy. An
+// empty --cc keeps the bench default.
+int16_t ResolveCc(const std::string& cc_name, int16_t default_policy);
 
 // "<prefix>_<name>.json" with filesystem-hostile characters in `name`
 // ('/', spaces, ':') folded to '_'. What benches assign to

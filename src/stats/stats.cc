@@ -123,10 +123,4 @@ TailStats TailOver(const TimeSeries& series, Time from, Time to) {
   return s;
 }
 
-std::string FormatGbps(double gbps) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%7.2f", gbps);
-  return buf;
-}
-
 }  // namespace dcqcn

@@ -108,7 +108,4 @@ TailStats TailOver(const TimeSeries& series, Time from);
 // Same, restricted to samples with t in [from, to).
 TailStats TailOver(const TimeSeries& series, Time from, Time to);
 
-// Fixed-width table printing for bench output.
-std::string FormatGbps(double gbps);
-
 }  // namespace dcqcn

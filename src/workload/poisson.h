@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "trace/distributions.h"
+#include "workload/distributions.h"
 #include "workload/workload.h"
 
 namespace dcqcn {

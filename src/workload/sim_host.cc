@@ -6,9 +6,15 @@ namespace dcqcn {
 namespace workload {
 
 SimWorkloadHost::SimWorkloadHost(Network& net, std::vector<RdmaNic*> hosts,
-                                 TransportMode mode, int16_t cc_policy)
-    : net_(net), hosts_(std::move(hosts)), mode_(mode), cc_policy_(cc_policy) {
+                                 int16_t cc_policy)
+    : net_(net), hosts_(std::move(hosts)), cc_policy_(cc_policy) {
   DCQCN_CHECK(hosts_.size() >= 2);
+}
+
+SimWorkloadHost::SimWorkloadHost(Network& net, std::vector<RdmaNic*> hosts,
+                                 TransportMode mode, int16_t cc_policy)
+    : SimWorkloadHost(net, std::move(hosts), cc_policy) {
+  DCQCN_CHECK(mode == CcPolicyInfoById(cc_policy).mode);
 }
 
 void SimWorkloadHost::Begin(WorkloadPattern& pattern) {
@@ -46,7 +52,6 @@ bool SimWorkloadHost::LaunchFlowWithId(const EmitSpec& spec, int flow_id) {
   f.priority = spec.priority;
   f.size_bytes = spec.size_bytes;
   f.start_time = net_.eq().Now();
-  f.mode = mode_;
   f.cc_policy = cc_policy_;
   f.ecmp_salt = spec.ecmp_salt;
   SenderQp* qp = net_.StartFlow(f);

@@ -6,6 +6,7 @@
 #include <functional>
 #include <vector>
 
+#include "cc/cc_policy.h"
 #include "net/network.h"
 #include "runner/runner.h"
 #include "telemetry/metric_registry.h"
@@ -17,10 +18,14 @@ namespace workload {
 class SimWorkloadHost : public WorkloadHost {
  public:
   // `hosts` is the pattern's host universe (EmitSpec indices address it).
-  // Every generated flow is stamped with `mode` and `cc_policy` (-1 =
-  // default policy for the mode), so --cc composes with any pattern.
+  // Every generated flow runs the registered CcPolicy `cc_policy`, so --cc
+  // composes with any pattern.
   SimWorkloadHost(Network& net, std::vector<RdmaNic*> hosts,
-                  TransportMode mode, int16_t cc_policy = -1);
+                  int16_t cc_policy = kDcqcnPolicyId);
+  // perfbench only; deleted by the benchmark PR. CHECK-fails unless `mode`
+  // is `cc_policy`'s registered mode.
+  SimWorkloadHost(Network& net, std::vector<RdmaNic*> hosts,
+                  TransportMode mode, int16_t cc_policy);
 
   // Attaches completion dispatch for `pattern` and starts it. Call once;
   // `pattern` must outlive this host's event activity.
@@ -63,7 +68,6 @@ class SimWorkloadHost : public WorkloadHost {
 
   Network& net_;
   std::vector<RdmaNic*> hosts_;
-  TransportMode mode_;
   int16_t cc_policy_;
   WorkloadPattern* pattern_ = nullptr;
   bool stopped_ = false;

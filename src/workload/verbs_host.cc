@@ -26,13 +26,19 @@ class VerbsWorkloadHost::Shim : public WorkloadPattern {
 };
 
 VerbsWorkloadHost::VerbsWorkloadHost(Network& net, std::vector<RdmaNic*> hosts,
-                                     TransportMode mode, int16_t cc_policy)
-    : inner_(net, hosts, mode, cc_policy), shim_(new Shim(this)) {
+                                     int16_t cc_policy)
+    : inner_(net, hosts, cc_policy), shim_(new Shim(this)) {
   devices_.reserve(hosts.size());
   for (RdmaNic* h : hosts) {
     DCQCN_CHECK(h->host_path() != nullptr);  // --host requires enabled devices
     devices_.push_back(h->host_path());
   }
+}
+
+VerbsWorkloadHost::VerbsWorkloadHost(Network& net, std::vector<RdmaNic*> hosts,
+                                     TransportMode mode, int16_t cc_policy)
+    : VerbsWorkloadHost(net, std::move(hosts), cc_policy) {
+  DCQCN_CHECK(mode == CcPolicyInfoById(cc_policy).mode);
 }
 
 VerbsWorkloadHost::~VerbsWorkloadHost() = default;

@@ -42,7 +42,11 @@ class VerbsWorkloadHost : public WorkloadHost {
   // Same contract as SimWorkloadHost; every NIC in `hosts` must have a
   // HostPathDevice attached (NicConfig::host_path.enabled).
   VerbsWorkloadHost(Network& net, std::vector<RdmaNic*> hosts,
-                    TransportMode mode, int16_t cc_policy = -1);
+                    int16_t cc_policy = kDcqcnPolicyId);
+  // perfbench only; deleted by the benchmark PR. CHECK-fails unless `mode`
+  // is `cc_policy`'s registered mode.
+  VerbsWorkloadHost(Network& net, std::vector<RdmaNic*> hosts,
+                    TransportMode mode, int16_t cc_policy);
   ~VerbsWorkloadHost() override;
 
   // Attaches completion dispatch for `pattern` and starts it. Call once.

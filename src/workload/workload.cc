@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "common/check.h"
-#include "trace/distributions.h"
+#include "workload/distributions.h"
 #include "workload/collective.h"
 #include "workload/incast.h"
 #include "workload/pairs.h"

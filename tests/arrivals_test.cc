@@ -23,7 +23,7 @@ TEST(PoissonPattern, RateMatchesOfferedLoad) {
   opt.offered_load = Gbps(40);
   opt.size_scale = 0.1;  // small flows so many complete
   PoissonPattern gen(opt);
-  SimWorkloadHost host(net, topo.AllHosts(), TransportMode::kRdmaDcqcn);
+  SimWorkloadHost host(net, topo.AllHosts());
   host.Begin(gen);
   const Time dur = Milliseconds(20);
   net.RunFor(dur);
@@ -41,7 +41,7 @@ TEST(PoissonPattern, FlowsCompleteAtModerateLoad) {
   opt.offered_load = Gbps(20);  // light for a 20-host fabric
   opt.size_scale = 0.1;
   PoissonPattern gen(opt);
-  SimWorkloadHost host(net, topo.AllHosts(), TransportMode::kRdmaDcqcn);
+  SimWorkloadHost host(net, topo.AllHosts());
   host.Begin(gen);
   net.RunFor(Milliseconds(30));
   const workload::WorkloadMetrics& m = host.metrics();
@@ -61,7 +61,7 @@ TEST(PoissonPattern, HigherLoadMoreArrivals) {
     opt.offered_load = load;
     opt.size_scale = 0.1;
     PoissonPattern gen(opt);
-    SimWorkloadHost host(net, topo.AllHosts(), TransportMode::kRdmaDcqcn);
+    SimWorkloadHost host(net, topo.AllHosts());
     host.Begin(gen);
     net.RunFor(Milliseconds(10));
     return host.metrics().started;
@@ -77,7 +77,7 @@ TEST(PoissonPattern, InFlightCapLimitsBacklog) {
   opt.size_scale = 1.0;
   opt.max_in_flight = 10;
   PoissonPattern gen(opt);
-  SimWorkloadHost host(net, topo.AllHosts(), TransportMode::kRdmaDcqcn);
+  SimWorkloadHost host(net, topo.AllHosts());
   host.Begin(gen);
   net.RunFor(Milliseconds(10));
   const workload::WorkloadMetrics& m = host.metrics();
@@ -94,7 +94,7 @@ TEST(PoissonPattern, DeterministicWithSeed) {
     opt.size_scale = 0.1;
     opt.seed = 99;
     PoissonPattern gen(opt);
-    SimWorkloadHost host(net, topo.AllHosts(), TransportMode::kRdmaDcqcn);
+    SimWorkloadHost host(net, topo.AllHosts());
     host.Begin(gen);
     net.RunFor(Milliseconds(10));
     return std::make_pair(host.metrics().started, host.metrics().completed);
@@ -113,12 +113,12 @@ TEST(PoissonPattern, CoexistsWithPairsPattern) {
   bopt.incast_degree = 0;
   bopt.size_scale = 0.1;
   workload::PairsPattern bench(bopt);
-  SimWorkloadHost bench_host(net, hosts, TransportMode::kRdmaDcqcn);
+  SimWorkloadHost bench_host(net, hosts);
   PoissonOptions popt;
   popt.offered_load = Gbps(10);
   popt.size_scale = 0.1;
   PoissonPattern gen(popt);
-  SimWorkloadHost gen_host(net, hosts, TransportMode::kRdmaDcqcn);
+  SimWorkloadHost gen_host(net, hosts);
   bench_host.Begin(bench);
   gen_host.Begin(gen);
   net.RunFor(Milliseconds(20));

@@ -23,7 +23,11 @@
 #include <vector>
 
 #include "cc/cc_policy.h"
+#include "cc/dcqcn_policy.h"
+#include "cc/dctcp_policy.h"
 #include "cc/scenarios.h"
+#include "cc_pins.h"
+#include "nic/flow.h"
 #include "runner/runner.h"
 #include "runner/serialize.h"
 
@@ -71,6 +75,21 @@ const int16_t kProbeId = RegisterCcPolicy(
      [](const NicConfig& config, Rate line_rate) {
        return std::unique_ptr<CcPolicy>(new ProbePolicy(config, line_rate));
      }});
+
+// Built-ins re-registered under new names with the original's registered
+// mode. They ride the whole sweep too, and must reproduce the original's
+// pinned traces: receiver feedback and switch defaults follow the
+// registration, not anything a flow carries besides its policy id.
+template <typename P>
+int16_t RegisterClone(const char* name, const char* original) {
+  return RegisterCcPolicy(
+      {name, CcPolicyInfoById(CcPolicyIdByName(original)).mode,
+       [](const NicConfig& config, Rate line_rate) {
+         return std::unique_ptr<CcPolicy>(new P(config, line_rate));
+       }});
+}
+const int16_t kDctcpClone = RegisterClone<DctcpPolicy>("dctcp_clone", "dctcp");
+const int16_t kDcqcnClone = RegisterClone<DcqcnPolicy>("dcqcn_clone", "dcqcn");
 
 // ---------------------------------------------------------------------------
 // Minimal CcHost: virtual time plus the two timer slots, with explicit
@@ -287,8 +306,8 @@ TEST_P(CcPolicyConformance, ToleratesForeignAndDegenerateSignals) {
 // sim through RED's marking draw, and policies that run with RED off
 // (TIMELY) are legitimately seed-invariant on a lossless fabric.
 TEST_P(CcPolicyConformance, ScenarioReplayIsDeterministic) {
-  const std::string a = cc::RunScenarioTrace("incast", info().mode, 42, id());
-  const std::string b = cc::RunScenarioTrace("incast", info().mode, 42, id());
+  const std::string a = cc::RunScenarioTrace("incast", id(), 42);
+  const std::string b = cc::RunScenarioTrace("incast", id(), 42);
   EXPECT_EQ(a, b) << GetParam();
   EXPECT_FALSE(a.empty());
 }
@@ -311,10 +330,12 @@ TEST(CcPolicyRegistry, TestRegisteredPolicyIsLive) {
   auto p = CreateCcPolicy(kProbeId, NicConfig{}, kLine);
   ASSERT_NE(p, nullptr);
   EXPECT_STREQ(p->name(), "probe");
-  // ...but it must NOT have displaced the built-in default for its mode.
-  EXPECT_NE(DefaultCcPolicyId(TransportMode::kRdmaDcqcn), kProbeId);
+  // ...but it must NOT have displaced the built-in flow default.
+  EXPECT_EQ(FlowSpec{}.cc_policy, CcPolicyIdByName("dcqcn"));
 }
 
+// The built-ins register the wire modes their algorithms need, the switch
+// defaults follow the mode, and dcqcn holds the id every flow defaults to.
 TEST(CcPolicyRegistry, DefaultsMatchTransportModes) {
   const struct {
     TransportMode mode;
@@ -325,22 +346,43 @@ TEST(CcPolicyRegistry, DefaultsMatchTransportModes) {
       {TransportMode::kTimely, "timely"},
   };
   for (const auto& w : kWant) {
-    const int16_t id = DefaultCcPolicyId(w.mode);
+    const int16_t id = CcPolicyIdByName(w.name);
     ASSERT_GE(id, 0);
-    EXPECT_EQ(CcPolicyInfoById(id).name, w.name);
     EXPECT_EQ(CcPolicyInfoById(id).mode, w.mode);
+    SwitchConfig by_id, by_mode;
+    cc::ApplyCcSwitchDefaults(id, &by_id);
+    cc::ApplyCcSwitchDefaults(w.mode, &by_mode);
+    EXPECT_EQ(by_id.red.enabled, by_mode.red.enabled) << w.name;
+    EXPECT_EQ(by_id.qcn.enabled, by_mode.qcn.enabled) << w.name;
+  }
+  EXPECT_EQ(CcPolicyIdByName("dcqcn"), kDcqcnPolicyId);
+}
+
+TEST(CcPolicyRegistry, ClonesReproduceBuiltInPins) {
+  const struct {
+    const char* original;
+    int16_t clone;
+  } kClones[] = {{"dctcp", kDctcpClone}, {"dcqcn", kDcqcnClone}};
+  for (const auto& c : kClones) {
+    SCOPED_TRACE(c.original);
+    int checked = 0;
+    for (const Pin& pin : kPins) {
+      if (std::string(pin.policy) != c.original) continue;
+      const std::string trace = cc::RunScenarioTrace(pin.scenario, c.clone, 42);
+      EXPECT_EQ(trace.size(), pin.trace_bytes) << pin.scenario;
+      EXPECT_EQ(cc::TraceFingerprint(trace), pin.fingerprint) << pin.scenario;
+      ++checked;
+    }
+    EXPECT_EQ(checked, 4);
   }
 }
 
 TEST(CcPolicyRegistry, UnknownNamesRejected) {
   EXPECT_EQ(CcPolicyIdByName("vegas"), -1);
   EXPECT_EQ(CcPolicyIdByName(""), -1);
-  EXPECT_EQ(runner::ResolveCc("", TransportMode::kTimely).policy, -1);
-  EXPECT_EQ(runner::ResolveCc("", TransportMode::kTimely).mode,
-            TransportMode::kTimely);
-  const runner::CcSelection sel = runner::ResolveCc("qcn", TransportMode::kRdmaDcqcn);
-  EXPECT_EQ(sel.mode, TransportMode::kQcn);
-  EXPECT_EQ(sel.policy, CcPolicyIdByName("qcn"));
+  EXPECT_EQ(runner::ResolveCc("", CcPolicyIdByName("timely")),
+            CcPolicyIdByName("timely"));
+  EXPECT_EQ(runner::ResolveCc("qcn", kDcqcnPolicyId), CcPolicyIdByName("qcn"));
 }
 
 // The --cc sweep axis obeys the runner's determinism contract: a matrix
@@ -350,12 +392,10 @@ TEST(CcPolicyRegistry, PolicySweepIsJobsInvariant) {
   std::vector<runner::TrialSpec> matrix;
   for (const std::string& name : CcPolicyNames()) {
     const int16_t id = CcPolicyIdByName(name);
-    const TransportMode mode = CcPolicyInfoById(id).mode;
     runner::TrialSpec spec;
     spec.name = "incast/" + name;
-    spec.run = [id, mode, name](const runner::TrialContext& ctx) {
-      const std::string trace =
-          cc::RunScenarioTrace("incast", mode, ctx.seed, id);
+    spec.run = [id, name](const runner::TrialContext& ctx) {
+      const std::string trace = cc::RunScenarioTrace("incast", id, ctx.seed);
       const uint64_t fp = cc::TraceFingerprint(trace);
       runner::TrialResult r;
       r.name = "incast/" + name;

@@ -21,7 +21,7 @@ FlowSpec Dctcp(Network& net, RdmaNic* src, RdmaNic* dst, Bytes size) {
   f.src_host = src->id();
   f.dst_host = dst->id();
   f.size_bytes = size;
-  f.mode = TransportMode::kDctcp;
+  f.cc_policy = CcPolicyIdByName("dctcp");
   return f;
 }
 
@@ -85,7 +85,7 @@ TEST(Dctcp, QueuePinsNearThreshold) {
 
 TEST(Dctcp, DeeperThresholdDeeperQueueThanDcqcn) {
   // Direct statement of the Fig. 19 comparison at moderate fan-in.
-  auto queue_p90 = [](TransportMode mode, const RedEcnConfig& red) {
+  auto queue_p90 = [](int16_t policy, const RedEcnConfig& red) {
     Network net(12);
     TopologyOptions opt;
     opt.switch_config.red = red;
@@ -96,7 +96,7 @@ TEST(Dctcp, DeeperThresholdDeeperQueueThanDcqcn) {
       f.src_host = topo.hosts[static_cast<size_t>(i)]->id();
       f.dst_host = topo.hosts[4]->id();
       f.size_bytes = 0;
-      f.mode = mode;
+      f.cc_policy = policy;
       net.StartFlow(f);
     }
     telemetry::ProbeSet probes(&net.eq(), Microseconds(20));
@@ -107,9 +107,9 @@ TEST(Dctcp, DeeperThresholdDeeperQueueThanDcqcn) {
     net.RunFor(Milliseconds(30));
     return probes.ToCdf(queue, Milliseconds(10)).Quantile(0.9);
   };
-  const double dcqcn = queue_p90(TransportMode::kRdmaDcqcn,
+  const double dcqcn = queue_p90(CcPolicyIdByName("dcqcn"),
                                  RedEcnConfig::Deployment());
-  const double dctcp = queue_p90(TransportMode::kDctcp,
+  const double dctcp = queue_p90(CcPolicyIdByName("dctcp"),
                                  RedEcnConfig::CutOff(160 * kKB));
   EXPECT_LT(dcqcn, dctcp);
 }

@@ -1,4 +1,4 @@
-#include "trace/distributions.h"
+#include "workload/distributions.h"
 
 #include <gtest/gtest.h>
 

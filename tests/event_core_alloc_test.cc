@@ -137,7 +137,6 @@ TEST(EventCoreAlloc, SteadyStateIncastIsAllocationFree) {
     f.src_host = topo.hosts[static_cast<size_t>(i)]->id();
     f.dst_host = topo.hosts[static_cast<size_t>(k)]->id();
     f.size_bytes = 0;  // unbounded
-    f.mode = TransportMode::kRdmaDcqcn;
     net.StartFlow(f);
   }
   net.RunFor(Milliseconds(2));  // warm-up: converge past the incast onset
@@ -224,7 +223,6 @@ int64_t ShortFlowPhaseBytes(int pods, int tors_per_pod, int hosts_per_tor,
       f.dst_host = hosts[static_cast<size_t>((j % n + n / 2) % n)]->id();
       f.size_bytes = kMtu;
       f.start_time = t0 + j * Microseconds(1);
-      f.mode = TransportMode::kRdmaDcqcn;
       net.StartFlow(f);
     }
     completed = 0;

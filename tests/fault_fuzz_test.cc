@@ -90,7 +90,6 @@ TEST_P(FaultFuzz, RandomPlansNeverBreakInvariantsAndFlowsFinish) {
     f.src_host = topo.hosts[static_cast<size_t>(a)]->id();
     f.dst_host = topo.hosts[static_cast<size_t>(b)]->id();
     f.size_bytes = fuzz.UniformInt(50, 300) * kKB;
-    f.mode = CcPolicyInfoById(policy).mode;
     f.cc_policy = policy;
     net.StartFlow(f);
     ++started;

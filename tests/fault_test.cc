@@ -15,13 +15,13 @@ namespace dcqcn {
 namespace {
 
 FlowSpec Make(Network& net, RdmaNic* src, RdmaNic* dst, Bytes size,
-              TransportMode mode = TransportMode::kRdmaDcqcn) {
+              int16_t policy = kDcqcnPolicyId) {
   FlowSpec f;
   f.flow_id = net.NextFlowId();
   f.src_host = src->id();
   f.dst_host = dst->id();
   f.size_bytes = size;
-  f.mode = mode;
+  f.cc_policy = policy;
   return f;
 }
 
@@ -182,7 +182,7 @@ TEST(FaultInjector, PauseStormPausesToRPortForStormDuration) {
   RdmaNic* babbler = topo.hosts[1];  // node id 2, switch port 1
   // Traffic toward the babbler so the paused egress class actually matters.
   net.StartFlow(Make(net, topo.hosts[0], babbler, /*size=*/0,
-                     TransportMode::kRdmaRaw));
+                     CcPolicyIdByName("raw")));
 
   const Time storm_at = Milliseconds(1);
   const Time storm_for = Milliseconds(4);
@@ -243,7 +243,7 @@ TEST(FaultInjector, BufferShrinkIncreasesPauseActivity) {
     StarTopology topo = BuildStar(net, 5, TopologyOptions{});
     for (int i = 0; i < 4; ++i) {
       net.StartFlow(Make(net, topo.hosts[static_cast<size_t>(i)],
-                         topo.hosts[4], /*size=*/0, TransportMode::kRdmaRaw));
+                         topo.hosts[4], /*size=*/0, CcPolicyIdByName("raw")));
     }
     FaultPlan plan;
     if (shrink_to > 0) {
@@ -352,18 +352,15 @@ TEST(PauseStormDetector, StopHaltsSampling) {
 class CcPolicyFaults : public ::testing::TestWithParam<std::string> {
  protected:
   int16_t id() const { return CcPolicyIdByName(GetParam()); }
-  TransportMode mode() const { return CcPolicyInfoById(id()).mode; }
   // Star fabric with the switch-side defaults the policy's deployment
   // assumes (RED off for TIMELY, the QCN congestion point on for QCN).
   StarTopology Build(Network& net, int hosts) const {
     TopologyOptions opt;
-    cc::ApplyCcSwitchDefaults(mode(), &opt.switch_config);
+    cc::ApplyCcSwitchDefaults(id(), &opt.switch_config);
     return BuildStar(net, hosts, opt);
   }
   void Start(Network& net, RdmaNic* src, RdmaNic* dst, Bytes size) const {
-    FlowSpec f = Make(net, src, dst, size, mode());
-    f.cc_policy = id();
-    net.StartFlow(f);
+    net.StartFlow(Make(net, src, dst, size, id()));
   }
 };
 

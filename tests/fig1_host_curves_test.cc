@@ -1,5 +1,5 @@
 // Fig. 1 host-model tests: the published shapes must hold.
-#include "transport/fig1_host_curves.h"
+#include "bench/fig1_host_curves.h"
 
 #include <gtest/gtest.h>
 

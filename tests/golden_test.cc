@@ -25,11 +25,10 @@ struct GoldenRun {
   double dctcp_alpha[2];
 };
 
-GoldenRun RunScenario(uint64_t seed,
-                      TransportMode mode = TransportMode::kRdmaDcqcn) {
+GoldenRun RunScenario(uint64_t seed, int16_t policy = kDcqcnPolicyId) {
   Network net(seed);
   TopologyOptions opt;
-  cc::ApplyCcSwitchDefaults(mode, &opt.switch_config);
+  cc::ApplyCcSwitchDefaults(policy, &opt.switch_config);
   StarTopology topo = BuildStar(net, 3, opt);
   for (int i = 0; i < 2; ++i) {
     FlowSpec f;
@@ -37,7 +36,7 @@ GoldenRun RunScenario(uint64_t seed,
     f.src_host = topo.hosts[static_cast<size_t>(i)]->id();
     f.dst_host = topo.hosts[2]->id();
     f.size_bytes = 0;  // greedy
-    f.mode = mode;
+    f.cc_policy = policy;
     net.StartFlow(f);
   }
   net.RunFor(Milliseconds(2));
@@ -86,7 +85,7 @@ TEST(GoldenTrace, TwoFlowDcqcnIncastAtSeed42) {
 // the differential fingerprints (which hash whole traces — these give a
 // readable first diff when something drifts).
 TEST(GoldenTrace, TwoFlowDctcpIncastAtSeed42) {
-  const GoldenRun g = RunScenario(42, TransportMode::kDctcp);
+  const GoldenRun g = RunScenario(42, CcPolicyIdByName("dctcp"));
 
   EXPECT_EQ(g.sw.rx_packets, 20113);
   EXPECT_EQ(g.sw.tx_packets, 19973);
@@ -112,7 +111,7 @@ TEST(GoldenTrace, TwoFlowDctcpIncastAtSeed42) {
 }
 
 TEST(GoldenTrace, TwoFlowTimelyIncastAtSeed42) {
-  const GoldenRun g = RunScenario(42, TransportMode::kTimely);
+  const GoldenRun g = RunScenario(42, CcPolicyIdByName("timely"));
 
   // TIMELY runs with RED/ECN disabled — it reacts to RTT gradients only.
   EXPECT_EQ(g.sw.rx_packets, 1119);
@@ -133,7 +132,7 @@ TEST(GoldenTrace, TwoFlowTimelyIncastAtSeed42) {
 }
 
 TEST(GoldenTrace, TwoFlowQcnIncastAtSeed42) {
-  const GoldenRun g = RunScenario(42, TransportMode::kQcn);
+  const GoldenRun g = RunScenario(42, CcPolicyIdByName("qcn"));
 
   // QCN runs with RED off and the switch-side CP sampler on: feedback
   // arrives as quantized congestion messages, counted like CNPs at the RP.

@@ -372,7 +372,7 @@ ChurnRun RunChurnThroughHostPath(int qp_cache, int fanout, uint64_t seed,
   spec.params["kb"] = "4";
   std::unique_ptr<workload::WorkloadPattern> pattern =
       workload::CreateWorkloadPattern(spec, seed);
-  workload::VerbsWorkloadHost vhost(net, hosts, TransportMode::kRdmaDcqcn);
+  workload::VerbsWorkloadHost vhost(net, hosts);
   vhost.Begin(*pattern);
   net.RunFor(duration);
 
@@ -487,7 +487,7 @@ TEST(VerbsHostIntegration, TelemetryExportsHostNamespace) {
   spec.params["kb"] = "4";
   std::unique_ptr<workload::WorkloadPattern> pattern =
       workload::CreateWorkloadPattern(spec, 3);
-  workload::VerbsWorkloadHost vhost(net, hosts, TransportMode::kRdmaDcqcn);
+  workload::VerbsWorkloadHost vhost(net, hosts);
   vhost.Begin(*pattern);
   net.RunFor(Microseconds(200));
 

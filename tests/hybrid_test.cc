@@ -274,7 +274,7 @@ void RunIncastCheckingGateCounters(const TopologyOptions& topt,
       f.src_host = topo.host(tor, h)->id();
       f.dst_host = topo.host(3, 0)->id();
       f.size_bytes = 0;  // greedy
-      f.mode = TransportMode::kRdmaRaw;
+      f.cc_policy = CcPolicyIdByName("raw");
       f.ecmp_salt = static_cast<uint64_t>(h);
       net.StartFlow(f);
     }
@@ -394,7 +394,7 @@ std::vector<runner::TrialResult> RunPoissonCase(const std::string& hybrid,
                       .spines = 4, .hosts_per_tor = 8};  // 64 hosts
   c.duration = Milliseconds(2);
   bench::ScaleTrialOptions topt;
-  topt.cc = runner::ResolveCc(cc, TransportMode::kRdmaDcqcn);
+  topt.cc = runner::ResolveCc(cc, CcPolicyIdByName("dcqcn"));
   char wl[64];
   std::snprintf(wl, sizeof(wl), "poisson:load_gbps=%.6g", load_gbps);
   topt.workload = wl;
@@ -427,7 +427,7 @@ TEST(HybridEngine, BoundedPeeksFileNothingBehindTheWheelCursor) {
   const auto pattern = workload::CreateWorkloadPattern(
       workload::ParseWorkloadSpec("poisson:load_gbps=12.8,cdf=storage-backend"),
       /*seed=*/7);
-  workload::SimWorkloadHost whost(net, hosts, TransportMode::kRdmaDcqcn);
+  workload::SimWorkloadHost whost(net, hosts);
   whost.Begin(*pattern);
   uint64_t events = hyb.Run(Milliseconds(20));
   whost.StopEmission();

@@ -11,13 +11,13 @@ namespace dcqcn {
 namespace {
 
 FlowSpec Make(Network& net, RdmaNic* src, RdmaNic* dst, Bytes size,
-              TransportMode mode, uint64_t salt = 0) {
+              int16_t policy, uint64_t salt = 0) {
   FlowSpec f;
   f.flow_id = net.NextFlowId();
   f.src_host = src->id();
   f.dst_host = dst->id();
   f.size_bytes = size;
-  f.mode = mode;
+  f.cc_policy = policy;
   f.ecmp_salt = salt;
   return f;
 }
@@ -32,7 +32,7 @@ TEST_P(DcqcnFairness, JainIndexHighAtEveryDegree) {
   for (int i = 0; i < k; ++i) {
     net.StartFlow(Make(net, topo.hosts[static_cast<size_t>(i)],
                        topo.hosts[static_cast<size_t>(k)], 0,
-                       TransportMode::kRdmaDcqcn));
+                       CcPolicyIdByName("dcqcn")));
   }
   // Let rates converge, then measure a window.
   net.RunFor(Milliseconds(40));
@@ -66,7 +66,7 @@ TEST(Replay, WholeClosRunIsBitIdentical) {
       RdmaNic* b = topo.host(static_cast<int>(traffic_rng.UniformInt(0, 3)),
                              static_cast<int>(traffic_rng.UniformInt(0, 4)));
       if (a == b) continue;
-      net.StartFlow(Make(net, a, b, 500 * kKB, TransportMode::kRdmaDcqcn,
+      net.StartFlow(Make(net, a, b, 500 * kKB, CcPolicyIdByName("dcqcn"),
                          traffic_rng.NextU64()));
     }
     net.RunFor(Milliseconds(10));
@@ -90,7 +90,7 @@ TEST(Replay, DifferentSeedsDiverge) {
     StarTopology topo = BuildStar(net, 5, TopologyOptions{});
     for (int i = 0; i < 4; ++i) {
       net.StartFlow(Make(net, topo.hosts[static_cast<size_t>(i)],
-                         topo.hosts[4], 0, TransportMode::kRdmaDcqcn));
+                         topo.hosts[4], 0, CcPolicyIdByName("dcqcn")));
     }
     net.RunFor(Milliseconds(5));
     return topo.sw->counters().ecn_marked_packets;
@@ -101,22 +101,22 @@ TEST(Replay, DifferentSeedsDiverge) {
 
 // ---- DCQCN end-to-end: PFC activity collapses on the real testbed. ----
 TEST(EndToEnd, DcqcnCutsClosFabricPausesByOrdersOfMagnitude) {
-  auto run = [](TransportMode mode) {
+  auto run = [](int16_t policy) {
     Network net(17);
     ClosTopology topo = BuildClos(net, 5, TopologyOptions{});
     for (int h = 0; h < 4; ++h) {
-      net.StartFlow(Make(net, topo.host(0, h), topo.host(3, 0), 0, mode,
+      net.StartFlow(Make(net, topo.host(0, h), topo.host(3, 0), 0, policy,
                          static_cast<uint64_t>(h)));
     }
     for (int h = 0; h < 2; ++h) {
-      net.StartFlow(Make(net, topo.host(2, h), topo.host(3, 0), 0, mode,
+      net.StartFlow(Make(net, topo.host(2, h), topo.host(3, 0), 0, policy,
                          100 + static_cast<uint64_t>(h)));
     }
     net.RunFor(Milliseconds(25));
     return net.TotalPauseFramesSent();
   };
-  const int64_t raw = run(TransportMode::kRdmaRaw);
-  const int64_t dcqcn = run(TransportMode::kRdmaDcqcn);
+  const int64_t raw = run(CcPolicyIdByName("raw"));
+  const int64_t dcqcn = run(CcPolicyIdByName("dcqcn"));
   EXPECT_GT(raw, 200);
   EXPECT_LT(dcqcn, raw / 20);
 }
@@ -140,12 +140,12 @@ TEST(EndToEnd, DcqcnKeepsVictimPathClear) {
   const int incast_dst = topo.host(3, 0)->id();
   for (int h = 0; h < 4; ++h) {
     FlowSpec f = Make(net, topo.host(0, h), topo.host(3, 0), 0,
-                      TransportMode::kRdmaDcqcn);
+                      CcPolicyIdByName("dcqcn"));
     f.ecmp_salt = salt_for_port(f.flow_id, incast_dst, h % 2);
     net.StartFlow(f);
   }
   FlowSpec vf = Make(net, topo.host(0, 4), topo.host(1, 0), /*size=*/0,
-                     TransportMode::kRdmaDcqcn);
+                     CcPolicyIdByName("dcqcn"));
   vf.ecmp_salt = salt_for_port(vf.flow_id, topo.host(1, 0)->id(), 0);
   net.StartFlow(vf);
   net.RunFor(Milliseconds(30));  // converge
@@ -162,9 +162,9 @@ TEST(EndToEnd, MixedDctcpAndDcqcnCoexist) {
   Network net(5);
   StarTopology topo = BuildStar(net, 3, TopologyOptions{});
   FlowSpec a = Make(net, topo.hosts[0], topo.hosts[2], 0,
-                    TransportMode::kRdmaDcqcn);
+                    CcPolicyIdByName("dcqcn"));
   FlowSpec b = Make(net, topo.hosts[1], topo.hosts[2], 0,
-                    TransportMode::kDctcp);
+                    CcPolicyIdByName("dctcp"));
   net.StartFlow(a);
   net.StartFlow(b);
   net.RunFor(Milliseconds(30));
@@ -187,7 +187,7 @@ TEST(EndToEnd, ClosAccessLinkFlapRecoversCrossPodFlow) {
   RdmaNic* src = topo.host(0, 0);
   RdmaNic* dst = topo.host(1, 0);
   const FlowSpec f = Make(net, src, dst, 500 * kKB,
-                          TransportMode::kRdmaDcqcn);
+                          CcPolicyIdByName("dcqcn"));
   net.StartFlow(f);
 
   FaultPlan plan;
@@ -218,7 +218,7 @@ TEST(EndToEnd, HyperFastStartDeliversFirstBytesImmediately) {
   Network net(2);
   StarTopology topo = BuildStar(net, 2, TopologyOptions{});
   net.StartFlow(Make(net, topo.hosts[0], topo.hosts[1], 0,
-                     TransportMode::kRdmaDcqcn));
+                     CcPolicyIdByName("dcqcn")));
   // After 100 us: expect ~line-rate delivery minus one path latency.
   net.RunFor(Microseconds(100));
   const Bytes d = topo.hosts[1]->ReceiverDeliveredBytes(0);

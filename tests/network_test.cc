@@ -38,7 +38,7 @@ TEST(Network, RoutesOnALine) {
   f.src_host = a->id();
   f.dst_host = b->id();
   f.size_bytes = 100 * 1000;
-  f.mode = TransportMode::kRdmaRaw;
+  f.cc_policy = CcPolicyIdByName("raw");
   net.StartFlow(f);
   net.RunFor(Milliseconds(1));
   EXPECT_EQ(b->ReceiverDeliveredBytes(0), 100 * 1000);
@@ -70,7 +70,7 @@ TEST(Network, ParallelPathsAllRetained) {
     f.src_host = a->id();
     f.dst_host = b->id();
     f.size_bytes = 10 * 1000;
-    f.mode = TransportMode::kRdmaRaw;
+    f.cc_policy = CcPolicyIdByName("raw");
     f.ecmp_salt = static_cast<uint64_t>(i);
     net.StartFlow(f);
   }
@@ -237,7 +237,7 @@ TEST(Network, SetRouteOverridesAfterBuildRoutes) {
       f.src_host = a->id();
       f.dst_host = dst->id();
       f.size_bytes = 10 * 1000;
-      f.mode = TransportMode::kRdmaRaw;
+      f.cc_policy = CcPolicyIdByName("raw");
       f.ecmp_salt = static_cast<uint64_t>(i);
       net.StartFlow(f);
     }
@@ -320,7 +320,7 @@ TEST(Network, AggregateCountersSumSwitches) {
     f.src_host = topo.hosts[static_cast<size_t>(i)]->id();
     f.dst_host = topo.hosts[4]->id();
     f.size_bytes = 0;
-    f.mode = TransportMode::kRdmaRaw;
+    f.cc_policy = CcPolicyIdByName("raw");
     net.StartFlow(f);
   }
   net.RunFor(Milliseconds(5));
@@ -341,7 +341,7 @@ TEST(PriorityClasses, TwoDataClassesIsolatedByPfc) {
   f2.dst_host = topo.hosts[2]->id();
   f2.size_bytes = 0;
   f2.priority = 2;
-  f2.mode = TransportMode::kRdmaRaw;
+  f2.cc_policy = CcPolicyIdByName("raw");
   net.StartFlow(f2);
   FlowSpec f3 = f2;
   f3.flow_id = 1;
@@ -376,7 +376,7 @@ TEST(PriorityClasses, SwitchQueuesAccountPerPriority) {
     f.dst_host = topo.hosts[2]->id();
     f.size_bytes = 0;
     f.priority = static_cast<int8_t>(2 + i);
-    f.mode = TransportMode::kRdmaRaw;
+    f.cc_policy = CcPolicyIdByName("raw");
     net.StartFlow(f);
   }
   net.RunFor(Milliseconds(3));

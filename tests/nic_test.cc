@@ -19,14 +19,14 @@ TopologyOptions DefaultOpts() {
 }
 
 FlowSpec Flow(Network& net, RdmaNic* src, RdmaNic* dst, Bytes size,
-              TransportMode mode, Time start = 0) {
+              int16_t policy, Time start = 0) {
   FlowSpec f;
   f.flow_id = net.NextFlowId();
   f.src_host = src->id();
   f.dst_host = dst->id();
   f.size_bytes = size;
   f.start_time = start;
-  f.mode = mode;
+  f.cc_policy = policy;
   return f;
 }
 
@@ -39,7 +39,7 @@ TEST(Nic, RawFlowCompletesAtNearLineRate) {
   Network net(1);
   auto t = BuildStar(net, 2, DefaultOpts());
   FlowSpec f = Flow(net, t.hosts[0], t.hosts[1], 4 * 1000 * 1000,
-                    TransportMode::kRdmaRaw);
+                    CcPolicyIdByName("raw"));
   net.StartFlow(f);
   net.RunFor(Milliseconds(5));
   ASSERT_EQ(t.hosts[0]->completed_flows().size(), 1u);
@@ -56,7 +56,7 @@ TEST(Nic, DcqcnFlowAloneStaysAtLineRate) {
   Network net(1);
   auto t = BuildStar(net, 2, DefaultOpts());
   FlowSpec f = Flow(net, t.hosts[0], t.hosts[1], 4 * 1000 * 1000,
-                    TransportMode::kRdmaDcqcn);
+                    CcPolicyIdByName("dcqcn"));
   net.StartFlow(f);
   net.RunFor(Milliseconds(5));
   ASSERT_EQ(t.hosts[0]->completed_flows().size(), 1u);
@@ -68,7 +68,7 @@ TEST(Nic, MessageSmallerThanMtuCompletes) {
   Network net(1);
   auto t = BuildStar(net, 2, DefaultOpts());
   FlowSpec f = Flow(net, t.hosts[0], t.hosts[1], 123,
-                    TransportMode::kRdmaRaw);
+                    CcPolicyIdByName("raw"));
   net.StartFlow(f);
   net.RunFor(Milliseconds(1));
   ASSERT_EQ(t.hosts[0]->completed_flows().size(), 1u);
@@ -80,7 +80,7 @@ TEST(Nic, ManySmallMessagesAllComplete) {
   auto t = BuildStar(net, 3, DefaultOpts());
   for (int i = 0; i < 50; ++i) {
     net.StartFlow(Flow(net, t.hosts[i % 2], t.hosts[2], 32 * 1000,
-                       TransportMode::kRdmaDcqcn, i * Microseconds(10)));
+                       CcPolicyIdByName("dcqcn"), i * Microseconds(10)));
   }
   net.RunFor(Milliseconds(20));
   EXPECT_EQ(t.hosts[0]->completed_flows().size() +
@@ -91,8 +91,8 @@ TEST(Nic, ManySmallMessagesAllComplete) {
 TEST(Nic, TwoGreedyDcqcnFlowsShareFairly) {
   Network net(7);
   auto t = BuildStar(net, 3, DefaultOpts());
-  FlowSpec f1 = Flow(net, t.hosts[0], t.hosts[2], 0, TransportMode::kRdmaDcqcn);
-  FlowSpec f2 = Flow(net, t.hosts[1], t.hosts[2], 0, TransportMode::kRdmaDcqcn);
+  FlowSpec f1 = Flow(net, t.hosts[0], t.hosts[2], 0, CcPolicyIdByName("dcqcn"));
+  FlowSpec f2 = Flow(net, t.hosts[1], t.hosts[2], 0, CcPolicyIdByName("dcqcn"));
   net.StartFlow(f1);
   net.StartFlow(f2);
   net.RunFor(Milliseconds(30));
@@ -114,7 +114,7 @@ TEST(Nic, IncastWithPfcIsLossless) {
   auto t = BuildStar(net, 9, DefaultOpts());
   for (int i = 0; i < 8; ++i) {
     net.StartFlow(Flow(net, t.hosts[static_cast<size_t>(i)], t.hosts[8], 0,
-                       TransportMode::kRdmaRaw));
+                       CcPolicyIdByName("raw")));
   }
   net.RunFor(Milliseconds(20));
   EXPECT_EQ(net.TotalDrops(), 0);
@@ -143,7 +143,7 @@ TEST(Nic, IncastWithoutPfcDropsAndRecovers) {
   std::vector<FlowSpec> flows;
   for (int i = 0; i < 4; ++i) {
     FlowSpec f = Flow(net, t.hosts[static_cast<size_t>(i)], t.hosts[4],
-                      2 * 1000 * 1000, TransportMode::kRdmaRaw);
+                      2 * 1000 * 1000, CcPolicyIdByName("raw"));
     flows.push_back(f);
     net.StartFlow(f);
   }
@@ -173,9 +173,9 @@ TEST(Nic, GoBackZeroRestartsWholeMessageOnLoss) {
     auto t = BuildStar(net, 3, opt);
     // Two colliding senders so drops occur repeatedly.
     FlowSpec a = Flow(net, t.hosts[0], t.hosts[2], 1000 * 1000,
-                      TransportMode::kRdmaRaw);
+                      CcPolicyIdByName("raw"));
     FlowSpec b = Flow(net, t.hosts[1], t.hosts[2], 1000 * 1000,
-                      TransportMode::kRdmaRaw);
+                      CcPolicyIdByName("raw"));
     net.StartFlow(a);
     net.StartFlow(b);
     net.RunFor(Milliseconds(100));
@@ -204,9 +204,9 @@ TEST(Nic, GoBackZeroStillCompletesWhenLossesStop) {
   auto t = BuildStar(net, 3, opt);
   // A short burst from host 1 collides with host 0's message start.
   FlowSpec burst = Flow(net, t.hosts[1], t.hosts[2], 300 * 1000,
-                        TransportMode::kRdmaRaw);
+                        CcPolicyIdByName("raw"));
   FlowSpec msg = Flow(net, t.hosts[0], t.hosts[2], 500 * 1000,
-                      TransportMode::kRdmaRaw);
+                      CcPolicyIdByName("raw"));
   net.StartFlow(burst);
   net.StartFlow(msg);
   net.RunFor(Milliseconds(100));
@@ -215,7 +215,7 @@ TEST(Nic, GoBackZeroStillCompletesWhenLossesStop) {
 }
 
 TEST(Nic, DcqcnDrasticallyReducesPauses) {
-  auto run = [](TransportMode mode) {
+  auto run = [](int16_t policy) {
     Network net(11);
     auto t = BuildStar(net, 9, DefaultOpts());
     for (int i = 0; i < 8; ++i) {
@@ -224,14 +224,14 @@ TEST(Nic, DcqcnDrasticallyReducesPauses) {
       f.src_host = t.hosts[static_cast<size_t>(i)]->id();
       f.dst_host = t.hosts[8]->id();
       f.size_bytes = 0;
-      f.mode = mode;
+      f.cc_policy = policy;
       net.StartFlow(f);
     }
     net.RunFor(Milliseconds(30));
     return net.TotalPauseFramesSent();
   };
-  const int64_t without = run(TransportMode::kRdmaRaw);
-  const int64_t with = run(TransportMode::kRdmaDcqcn);
+  const int64_t without = run(CcPolicyIdByName("raw"));
+  const int64_t with = run(CcPolicyIdByName("dcqcn"));
   EXPECT_GT(without, 50);
   EXPECT_LT(with, without / 10);
 }
@@ -239,8 +239,8 @@ TEST(Nic, DcqcnDrasticallyReducesPauses) {
 TEST(Nic, CnpsFlowOnMarkedPackets) {
   Network net(5);
   auto t = BuildStar(net, 3, DefaultOpts());
-  FlowSpec f1 = Flow(net, t.hosts[0], t.hosts[2], 0, TransportMode::kRdmaDcqcn);
-  FlowSpec f2 = Flow(net, t.hosts[1], t.hosts[2], 0, TransportMode::kRdmaDcqcn);
+  FlowSpec f1 = Flow(net, t.hosts[0], t.hosts[2], 0, CcPolicyIdByName("dcqcn"));
+  FlowSpec f2 = Flow(net, t.hosts[1], t.hosts[2], 0, CcPolicyIdByName("dcqcn"));
   net.StartFlow(f1);
   net.StartFlow(f2);
   net.RunFor(Milliseconds(10));
@@ -258,7 +258,7 @@ TEST(Nic, PausedNicHoldsData) {
   pause.pfc_priority = kDataPriority;
   t.hosts[0]->ReceivePacket(pause, 0);
   FlowSpec f = Flow(net, t.hosts[0], t.hosts[1], 100 * 1000,
-                    TransportMode::kRdmaRaw);
+                    CcPolicyIdByName("raw"));
   net.StartFlow(f);
   net.RunFor(Milliseconds(2));
   EXPECT_EQ(Delivered(t.hosts[1], f.flow_id), 0);
@@ -275,7 +275,7 @@ TEST(Nic, DctcpFlowCompletes) {
   Network net(1);
   auto t = BuildStar(net, 2, DefaultOpts());
   FlowSpec f = Flow(net, t.hosts[0], t.hosts[1], 1 * 1000 * 1000,
-                    TransportMode::kDctcp);
+                    CcPolicyIdByName("dctcp"));
   net.StartFlow(f);
   net.RunFor(Milliseconds(50));
   ASSERT_EQ(t.hosts[0]->completed_flows().size(), 1u);
@@ -287,8 +287,8 @@ TEST(Nic, DctcpTwoFlowsShareAndKeepQueueNearK) {
   opt.switch_config.red = RedEcnConfig::CutOff(160 * kKB);
   Network net(17);
   auto t = BuildStar(net, 3, opt);
-  FlowSpec f1 = Flow(net, t.hosts[0], t.hosts[2], 0, TransportMode::kDctcp);
-  FlowSpec f2 = Flow(net, t.hosts[1], t.hosts[2], 0, TransportMode::kDctcp);
+  FlowSpec f1 = Flow(net, t.hosts[0], t.hosts[2], 0, CcPolicyIdByName("dctcp"));
+  FlowSpec f2 = Flow(net, t.hosts[1], t.hosts[2], 0, CcPolicyIdByName("dctcp"));
   net.StartFlow(f1);
   net.StartFlow(f2);
   net.RunFor(Milliseconds(30));
@@ -307,7 +307,7 @@ TEST(Nic, QpReuseCompletesEachMessageSeparately) {
   Network net(1);
   auto t = BuildStar(net, 2, DefaultOpts());
   FlowSpec f = Flow(net, t.hosts[0], t.hosts[1], 100 * 1000,
-                    TransportMode::kRdmaRaw);
+                    CcPolicyIdByName("raw"));
   SenderQp* qp = net.StartFlow(f);
   net.RunFor(Milliseconds(1));
   ASSERT_EQ(t.hosts[0]->completed_flows().size(), 1u);
@@ -331,7 +331,7 @@ TEST(Nic, BackToBackMessagesKeepLink100PercentBusy) {
   Network net(1);
   auto t = BuildStar(net, 2, DefaultOpts());
   FlowSpec f = Flow(net, t.hosts[0], t.hosts[1], 400 * 1000,
-                    TransportMode::kRdmaRaw);
+                    CcPolicyIdByName("raw"));
   SenderQp* qp = net.StartFlow(f);
   // Enqueue while the first is still in flight: no idle gap between them.
   for (int i = 0; i < 9; ++i) qp->EnqueueMessage(400 * 1000);
@@ -347,10 +347,10 @@ TEST(Nic, WarmQpKeepsRateLimiterStateAcrossMessages) {
   Network net(9);
   auto t = BuildStar(net, 3, DefaultOpts());
   FlowSpec bg = Flow(net, t.hosts[1], t.hosts[2], 0,
-                     TransportMode::kRdmaDcqcn);
+                     CcPolicyIdByName("dcqcn"));
   net.StartFlow(bg);
   FlowSpec f = Flow(net, t.hosts[0], t.hosts[2], 4000 * 1000,
-                    TransportMode::kRdmaDcqcn);
+                    CcPolicyIdByName("dcqcn"));
   SenderQp* qp = net.StartFlow(f);
   net.RunFor(Milliseconds(5));
   ASSERT_TRUE(qp->rp() != nullptr);
@@ -367,7 +367,7 @@ TEST(Nic, CompletionCallbackFires) {
   t.hosts[0]->AddCompletionCallback(
       [&](const FlowRecord&) { ++completions; });
   net.StartFlow(Flow(net, t.hosts[0], t.hosts[1], 10 * 1000,
-                     TransportMode::kRdmaRaw));
+                     CcPolicyIdByName("raw")));
   net.RunFor(Milliseconds(1));
   EXPECT_EQ(completions, 1);
 }
@@ -396,7 +396,7 @@ Packet ControlFrame(PacketType type, int flow_id, int src, int dst) {
 TEST(Nic, StrayFramesForAnotherNicsFlowAreIgnored) {
   Network net(1);
   auto t = BuildStar(net, 3, DefaultOpts());
-  FlowSpec f = Flow(net, t.hosts[0], t.hosts[1], 0, TransportMode::kRdmaDcqcn);
+  FlowSpec f = Flow(net, t.hosts[0], t.hosts[1], 0, CcPolicyIdByName("dcqcn"));
   SenderQp* qp = net.StartFlow(f);
   net.RunFor(Microseconds(20));
   const uint64_t una = qp->snd_una();
@@ -435,7 +435,7 @@ TEST(Nic, StrayFramesForAnotherNicsFlowAreIgnored) {
 TEST(Nic, ReceiverDeliveredBytesIsZeroOffTheReceiver) {
   Network net(1);
   auto t = BuildStar(net, 3, DefaultOpts());
-  FlowSpec f = Flow(net, t.hosts[0], t.hosts[1], 5000, TransportMode::kRdmaRaw);
+  FlowSpec f = Flow(net, t.hosts[0], t.hosts[1], 5000, CcPolicyIdByName("raw"));
   net.StartFlow(f);
   net.RunFor(Microseconds(100));
   EXPECT_EQ(t.hosts[1]->ReceiverDeliveredBytes(f.flow_id), 5000);
@@ -451,9 +451,9 @@ TEST(Nic, ReceiverDeliveredBytesIsZeroOffTheReceiver) {
 TEST(Nic, ReleasedIdIsRecycledToADifferentPair) {
   Network net(1);
   auto t = BuildStar(net, 3, DefaultOpts());
-  FlowSpec a = Flow(net, t.hosts[0], t.hosts[1], 3000, TransportMode::kRdmaRaw);
+  FlowSpec a = Flow(net, t.hosts[0], t.hosts[1], 3000, CcPolicyIdByName("raw"));
   FlowSpec keep =
-      Flow(net, t.hosts[2], t.hosts[1], 7000, TransportMode::kRdmaRaw);
+      Flow(net, t.hosts[2], t.hosts[1], 7000, CcPolicyIdByName("raw"));
   net.StartFlow(a);
   net.StartFlow(keep);
   net.RunFor(Microseconds(100));
@@ -465,7 +465,7 @@ TEST(Nic, ReleasedIdIsRecycledToADifferentPair) {
   EXPECT_EQ(t.hosts[1]->ReceiverDeliveredBytes(keep.flow_id), 7000);
 
   // The id comes back; give it to host 2 -> host 0.
-  FlowSpec b = Flow(net, t.hosts[2], t.hosts[0], 4000, TransportMode::kRdmaRaw);
+  FlowSpec b = Flow(net, t.hosts[2], t.hosts[0], 4000, CcPolicyIdByName("raw"));
   ASSERT_EQ(b.flow_id, a.flow_id);
   SenderQp* qp = net.StartFlow(b);
   net.RunFor(Microseconds(100));
@@ -566,12 +566,12 @@ TEST(Nic, ManyQpArbitrationKeepsTransmitOrder) {
   });
   std::vector<int> dctcp_ids;
   for (int i = 0; i < kFlows; ++i) {
-    const TransportMode mode = i % 5 == 2   ? TransportMode::kDctcp
-                               : i % 2 == 0 ? TransportMode::kRdmaDcqcn
-                                            : TransportMode::kRdmaRaw;
+    const int16_t policy = i % 5 == 2   ? CcPolicyIdByName("dctcp")
+                           : i % 2 == 0 ? CcPolicyIdByName("dcqcn")
+                                        : CcPolicyIdByName("raw");
     const Bytes size = i % 9 == 0 ? 120 * 1000 : (1 + (i * 37) % 23) * 1100;
-    FlowSpec f = Flow(net, src, dst, size, mode, (i % 13) * Nanoseconds(700));
-    if (mode == TransportMode::kDctcp) dctcp_ids.push_back(f.flow_id);
+    FlowSpec f = Flow(net, src, dst, size, policy, (i % 13) * Nanoseconds(700));
+    if (policy == CcPolicyIdByName("dctcp")) dctcp_ids.push_back(f.flow_id);
     net.StartFlow(f);
   }
 

@@ -56,7 +56,6 @@ TEST(PerfSmoke, SwitchHotPathMillisecond) {
     f.src_host = topo.hosts[static_cast<size_t>(i)]->id();
     f.dst_host = topo.hosts[static_cast<size_t>(k)]->id();
     f.size_bytes = 0;
-    f.mode = TransportMode::kRdmaDcqcn;
     net.StartFlow(f);
   }
   net.RunFor(Milliseconds(1));
@@ -81,7 +80,6 @@ TEST(PerfSmoke, IncastMillisecondSmallFanIn) {
     f.src_host = topo.hosts[static_cast<size_t>(i)]->id();
     f.dst_host = topo.hosts[static_cast<size_t>(k)]->id();
     f.size_bytes = 0;
-    f.mode = TransportMode::kRdmaDcqcn;
     net.StartFlow(f);
   }
   net.RunFor(Milliseconds(1));

@@ -14,7 +14,7 @@ FlowSpec Greedy(Network& net, RdmaNic* src, RdmaNic* dst, uint64_t salt) {
   f.src_host = src->id();
   f.dst_host = dst->id();
   f.size_bytes = 0;
-  f.mode = TransportMode::kRdmaRaw;
+  f.cc_policy = CcPolicyIdByName("raw");
   f.ecmp_salt = salt;
   return f;
 }
@@ -125,7 +125,7 @@ TEST_P(IncastDegree, LosslessAndUtilizedWithPfcOnly) {
     f.src_host = topo.hosts[static_cast<size_t>(i)]->id();
     f.dst_host = topo.hosts[static_cast<size_t>(k)]->id();
     f.size_bytes = 0;
-    f.mode = TransportMode::kRdmaRaw;
+    f.cc_policy = CcPolicyIdByName("raw");
     net.StartFlow(f);
   }
   net.RunFor(Milliseconds(10));
@@ -154,7 +154,6 @@ TEST_P(EcnBeforePfc, FirstMarkPrecedesFirstPause) {
     f.src_host = topo.hosts[static_cast<size_t>(i)]->id();
     f.dst_host = topo.hosts[static_cast<size_t>(k)]->id();
     f.size_bytes = 0;
-    f.mode = TransportMode::kRdmaDcqcn;
     net.StartFlow(f);
   }
   // Step the simulation in 1 us slices and record when marking / pausing
@@ -197,7 +196,6 @@ TEST(EcnBeforePfcMisconfig, InvertedWithBadThresholds) {
     f.src_host = topo.hosts[static_cast<size_t>(i)]->id();
     f.dst_host = topo.hosts[8]->id();
     f.size_bytes = 0;
-    f.mode = TransportMode::kRdmaDcqcn;
     net.StartFlow(f);
   }
   Time first_mark = -1, first_pause = -1;
@@ -226,7 +224,7 @@ TEST(PfcResume, TrafficResumesAfterCongestionClears) {
     f.src_host = topo.host(0, h)->id();
     f.dst_host = topo.host(3, 0)->id();
     f.size_bytes = 2000 * kKB;
-    f.mode = TransportMode::kRdmaRaw;
+    f.cc_policy = CcPolicyIdByName("raw");
     net.StartFlow(f);
   }
   net.RunFor(Milliseconds(10));  // incast done and drained
@@ -245,7 +243,7 @@ TEST(PfcResume, TrafficResumesAfterCongestionClears) {
   f.dst_host = topo.host(3, 1)->id();
   f.size_bytes = 4000 * kKB;
   f.start_time = net.eq().Now();
-  f.mode = TransportMode::kRdmaRaw;
+  f.cc_policy = CcPolicyIdByName("raw");
   net.StartFlow(f);
   net.RunFor(Milliseconds(2));
   const auto& recs = topo.host(0, 0)->completed_flows();
@@ -265,7 +263,7 @@ TEST(PfcPriorities, PauseOnOneClassDoesNotBlockAnother) {
   f.src_host = topo.hosts[0]->id();
   f.dst_host = topo.hosts[2]->id();
   f.size_bytes = 0;
-  f.mode = TransportMode::kRdmaRaw;
+  f.cc_policy = CcPolicyIdByName("raw");
   net.StartFlow(f);
   net.RunFor(Milliseconds(5));
   // The switch's data-priority state may be paused, but control priority

@@ -92,7 +92,7 @@ TEST(Qcn, TwoFlowsShareWithinAnL2Domain) {
   f1.src_host = topo.hosts[0]->id();
   f1.dst_host = topo.hosts[2]->id();
   f1.size_bytes = 0;
-  f1.mode = TransportMode::kQcn;
+  f1.cc_policy = CcPolicyIdByName("qcn");
   net.StartFlow(f1);
   FlowSpec f2 = f1;
   f2.flow_id = 1;
@@ -128,7 +128,7 @@ TEST(Qcn, FeedbackCannotCrossRoutedHops) {
     f.src_host = topo.host(0, h)->id();  // pod 0 senders
     f.dst_host = topo.host(3, 0)->id();  // pod 1 receiver
     f.size_bytes = 0;
-    f.mode = TransportMode::kQcn;
+    f.cc_policy = CcPolicyIdByName("qcn");
     net.StartFlow(f);
   }
   net.RunFor(Milliseconds(20));
@@ -159,7 +159,7 @@ TEST(Qcn, FeedbackCannotCrossRoutedHops) {
 TEST(Qcn, DcqcnSucceedsWhereQcnFails) {
   // Same Clos incast: DCQCN's IP-routable CNPs reach the senders and PFC
   // goes quiet — the whole point of the paper.
-  auto pauses = [](TransportMode mode, bool qcn_enabled) {
+  auto pauses = [](int16_t policy, bool qcn_enabled) {
     TopologyOptions opt;
     if (qcn_enabled) {
       opt.switch_config.red.enabled = false;
@@ -173,14 +173,14 @@ TEST(Qcn, DcqcnSucceedsWhereQcnFails) {
       f.src_host = topo.host(0, h)->id();
       f.dst_host = topo.host(3, 0)->id();
       f.size_bytes = 0;
-      f.mode = mode;
+      f.cc_policy = policy;
       net.StartFlow(f);
     }
     net.RunFor(Milliseconds(20));
     return net.TotalPauseFramesSent();
   };
-  const int64_t qcn = pauses(TransportMode::kQcn, true);
-  const int64_t dcqcn = pauses(TransportMode::kRdmaDcqcn, false);
+  const int64_t qcn = pauses(CcPolicyIdByName("qcn"), true);
+  const int64_t dcqcn = pauses(CcPolicyIdByName("dcqcn"), false);
   EXPECT_GT(qcn, 100);
   EXPECT_LT(dcqcn, qcn / 10);
 }

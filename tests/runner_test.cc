@@ -36,7 +36,6 @@ runner::TrialSpec SmallIncastTrial(int trial) {
       f.src_host = topo.hosts[static_cast<size_t>(i)]->id();
       f.dst_host = topo.hosts[3]->id();
       f.size_bytes = 0;
-      f.mode = TransportMode::kRdmaDcqcn;
       net.StartFlow(f);
     }
     telemetry::ProbeSet probes(&net.eq(), Microseconds(20));
@@ -102,7 +101,6 @@ runner::TrialSpec FaultedIncastTrial(int trial, FaultPlan plan) {
       f.src_host = topo.hosts[static_cast<size_t>(i)]->id();
       f.dst_host = topo.hosts[3]->id();
       f.size_bytes = 100 * kKB;
-      f.mode = TransportMode::kRdmaDcqcn;
       net.StartFlow(f);
     }
     FaultInjector inj(&net, *ctx.faults, ctx.seed ^ 0xfa017ULL);

@@ -17,14 +17,14 @@ struct World {
   explicit World(TopologyOptions opt = TopologyOptions{}, int hosts = 2)
       : topo(BuildStar(net, hosts, opt)) {}
 
-  SenderQp* StartFlow(int src, int dst, Bytes size, TransportMode mode,
+  SenderQp* StartFlow(int src, int dst, Bytes size, int16_t policy,
                       Rate /*unused*/ = 0) {
     FlowSpec f;
     f.flow_id = net.NextFlowId();
     f.src_host = topo.hosts[static_cast<size_t>(src)]->id();
     f.dst_host = topo.hosts[static_cast<size_t>(dst)]->id();
     f.size_bytes = size;
-    f.mode = mode;
+    f.cc_policy = policy;
     return net.StartFlow(f);
   }
 };
@@ -33,7 +33,7 @@ TEST(SenderQp, PacingEnforcesRpRate) {
   // Force the RP to a known rate via synthetic CNPs, then check the paced
   // throughput matches R_C.
   World w;
-  SenderQp* qp = w.StartFlow(0, 1, 0, TransportMode::kRdmaDcqcn);
+  SenderQp* qp = w.StartFlow(0, 1, 0, CcPolicyIdByName("dcqcn"));
   w.net.RunFor(Milliseconds(1));
   // Two synthetic CNPs: 40 -> 20 -> ~10 Gbps (alpha stays ~1).
   qp->OnCnp(w.net.eq().Now());
@@ -54,7 +54,7 @@ TEST(SenderQp, PacingEnforcesRpRate) {
 
 TEST(SenderQp, CompleteReflectsMessageQueue) {
   World w;
-  SenderQp* qp = w.StartFlow(0, 1, 10 * 1000, TransportMode::kRdmaRaw);
+  SenderQp* qp = w.StartFlow(0, 1, 10 * 1000, CcPolicyIdByName("raw"));
   EXPECT_FALSE(qp->complete());
   w.net.RunFor(Milliseconds(1));
   EXPECT_TRUE(qp->complete());
@@ -66,7 +66,7 @@ TEST(SenderQp, CompleteReflectsMessageQueue) {
 
 TEST(SenderQp, MessageRecordsCarryPerMessageBytesAndTimes) {
   World w;
-  SenderQp* qp = w.StartFlow(0, 1, 100 * 1000, TransportMode::kRdmaRaw);
+  SenderQp* qp = w.StartFlow(0, 1, 100 * 1000, CcPolicyIdByName("raw"));
   w.net.RunFor(Milliseconds(1));
   qp->EnqueueMessage(300 * 1000);
   w.net.RunFor(Milliseconds(1));
@@ -82,7 +82,7 @@ TEST(SenderQp, MessageRecordsCarryPerMessageBytesAndTimes) {
 
 TEST(SenderQp, UnboundedFlowNeverCompletes) {
   World w;
-  SenderQp* qp = w.StartFlow(0, 1, 0, TransportMode::kRdmaRaw);
+  SenderQp* qp = w.StartFlow(0, 1, 0, CcPolicyIdByName("raw"));
   w.net.RunFor(Milliseconds(5));
   EXPECT_FALSE(qp->complete());
   EXPECT_TRUE(w.topo.hosts[0]->completed_flows().empty());
@@ -91,13 +91,13 @@ TEST(SenderQp, UnboundedFlowNeverCompletes) {
 
 TEST(SenderQp, EnqueueOnUnboundedFlowDies) {
   World w;
-  SenderQp* qp = w.StartFlow(0, 1, 0, TransportMode::kRdmaRaw);
+  SenderQp* qp = w.StartFlow(0, 1, 0, CcPolicyIdByName("raw"));
   EXPECT_DEATH(qp->EnqueueMessage(1000), "");
 }
 
 TEST(SenderQp, PartialLastPacketSizes) {
   World w;
-  SenderQp* qp = w.StartFlow(0, 1, 2500, TransportMode::kRdmaRaw);
+  SenderQp* qp = w.StartFlow(0, 1, 2500, CcPolicyIdByName("raw"));
   w.net.RunFor(Milliseconds(1));
   EXPECT_TRUE(qp->complete());
   // 2500 B = 2 full MTUs + 500 B.
@@ -109,8 +109,8 @@ TEST(SenderQp, PartialLastPacketSizes) {
 
 TEST(SenderQp, CnpCounterAndRpWiring) {
   World w(TopologyOptions{}, 3);
-  SenderQp* a = w.StartFlow(0, 2, 0, TransportMode::kRdmaDcqcn);
-  SenderQp* b = w.StartFlow(1, 2, 0, TransportMode::kRdmaDcqcn);
+  SenderQp* a = w.StartFlow(0, 2, 0, CcPolicyIdByName("dcqcn"));
+  SenderQp* b = w.StartFlow(1, 2, 0, CcPolicyIdByName("dcqcn"));
   w.net.RunFor(Milliseconds(10));
   EXPECT_GT(a->counters().cnps_received + b->counters().cnps_received, 0);
   // Any QP that received a CNP has an engaged (or recovered) RP.
@@ -121,7 +121,7 @@ TEST(SenderQp, CnpCounterAndRpWiring) {
 
 TEST(SenderQp, RawModeHasNoRp) {
   World w;
-  SenderQp* qp = w.StartFlow(0, 1, 0, TransportMode::kRdmaRaw);
+  SenderQp* qp = w.StartFlow(0, 1, 0, CcPolicyIdByName("raw"));
   EXPECT_EQ(qp->rp(), nullptr);
   // CNPs to a raw QP are counted but ignored.
   qp->OnCnp(0);
@@ -134,8 +134,8 @@ TEST(SenderQp, DctcpSlowStartThenCa) {
   TopologyOptions opt;
   opt.switch_config.red = RedEcnConfig::CutOff(160 * kKB);
   World w(opt, 3);
-  SenderQp* qp = w.StartFlow(0, 2, 0, TransportMode::kDctcp);
-  SenderQp* other = w.StartFlow(1, 2, 0, TransportMode::kDctcp);
+  SenderQp* qp = w.StartFlow(0, 2, 0, CcPolicyIdByName("dctcp"));
+  SenderQp* other = w.StartFlow(1, 2, 0, CcPolicyIdByName("dctcp"));
   const Bytes w0 = qp->cwnd();
   w.net.RunFor(Microseconds(200));
   // Slow start: window grows quickly from the initial 10 MTU.
@@ -150,8 +150,8 @@ TEST(SenderQp, DctcpWindowNeverBelowMinCwnd) {
   TopologyOptions opt;
   opt.switch_config.red = RedEcnConfig::CutOff(10 * kKB);  // heavy marking
   World w(opt, 3);
-  SenderQp* a = w.StartFlow(0, 2, 0, TransportMode::kDctcp);
-  SenderQp* b = w.StartFlow(1, 2, 0, TransportMode::kDctcp);
+  SenderQp* a = w.StartFlow(0, 2, 0, CcPolicyIdByName("dctcp"));
+  SenderQp* b = w.StartFlow(1, 2, 0, CcPolicyIdByName("dctcp"));
   w.net.RunFor(Milliseconds(20));
   EXPECT_GE(a->cwnd(), kMtu);
   EXPECT_GE(b->cwnd(), kMtu);
@@ -164,7 +164,7 @@ TEST(SenderQp, RetxTimeoutRecoversFromTotalAckLoss) {
   TopologyOptions opt;
   opt.nic_config.rto = Milliseconds(2);
   World w(opt, 2);
-  SenderQp* qp = w.StartFlow(0, 1, 50 * 1000, TransportMode::kRdmaRaw);
+  SenderQp* qp = w.StartFlow(0, 1, 50 * 1000, CcPolicyIdByName("raw"));
   // Pause the receiver NIC's data priority (ACKs ride the data class) so
   // ACKs are held back.
   Packet pause;
@@ -185,7 +185,7 @@ TEST(SenderQp, RetxTimeoutRecoversFromTotalAckLoss) {
 TEST(SenderQp, JitterKeepsLineRateWithinTwoPercent) {
   // Pacing jitter must not meaningfully reduce a solo flow's goodput.
   World w;
-  SenderQp* qp = w.StartFlow(0, 1, 4000 * 1000, TransportMode::kRdmaRaw);
+  SenderQp* qp = w.StartFlow(0, 1, 4000 * 1000, CcPolicyIdByName("raw"));
   w.net.RunFor(Milliseconds(2));
   ASSERT_TRUE(qp->complete());
   const auto& rec = w.topo.hosts[0]->completed_flows()[0];

@@ -206,7 +206,7 @@ TEST(ShardDeterminism, ScaleMatrixIsByteIdenticalAcrossShardCounts) {
 
 TEST(ShardDeterminism, ComposedCcWorkloadHostIsShardCountInvariant) {
   bench::ScaleTrialOptions topt;
-  topt.cc = runner::ResolveCc("dctcp", TransportMode::kRdmaDcqcn);
+  topt.cc = runner::ResolveCc("dctcp", CcPolicyIdByName("dcqcn"));
   topt.workload = "pairs:pairs=32,incast=8";
   topt.host = "default";
   const std::string one = RunScaleMatrixJson(1, 1, 11, topt, false, 2);

@@ -106,7 +106,6 @@ Network& BuildIncast(Network& net, StarTopology* out_topo) {
     f.src_host = topo.hosts[static_cast<size_t>(i)]->id();
     f.dst_host = topo.hosts[3]->id();
     f.size_bytes = 0;
-    f.mode = TransportMode::kRdmaDcqcn;
     net.StartFlow(f);
   }
   *out_topo = topo;

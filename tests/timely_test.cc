@@ -71,7 +71,7 @@ TEST(Timely, TwoFlowsShareABottleneck) {
     f.src_host = topo.hosts[static_cast<size_t>(i)]->id();
     f.dst_host = topo.hosts[2]->id();
     f.size_bytes = 0;
-    f.mode = TransportMode::kTimely;
+    f.cc_policy = CcPolicyIdByName("timely");
     net.StartFlow(f);
   }
   net.RunFor(Milliseconds(40));
@@ -110,7 +110,7 @@ TEST(Timely, KeepsQueueBelowPfcWithoutEcn) {
     f.src_host = topo.hosts[static_cast<size_t>(i)]->id();
     f.dst_host = topo.hosts[4]->id();
     f.size_bytes = 0;
-    f.mode = TransportMode::kTimely;
+    f.cc_policy = CcPolicyIdByName("timely");
     net.StartFlow(f);
   }
   telemetry::ProbeSet probes(&net.eq(), Microseconds(20));

@@ -74,7 +74,7 @@ TEST(Clos, IntraPodTrafficAvoidsSpines) {
   f.src_host = t.host(0, 0)->id();
   f.dst_host = t.host(1, 0)->id();
   f.size_bytes = 1000 * 1000;
-  f.mode = TransportMode::kRdmaRaw;
+  f.cc_policy = CcPolicyIdByName("raw");
   net.StartFlow(f);
   net.RunFor(Milliseconds(5));
   EXPECT_EQ(t.host(1, 0)->ReceiverDeliveredBytes(0), f.size_bytes);
@@ -91,7 +91,6 @@ TEST(Clos, InterPodFlowCompletesAtLineRate) {
   f.src_host = t.host(0, 0)->id();
   f.dst_host = t.host(3, 1)->id();
   f.size_bytes = 4 * 1000 * 1000;
-  f.mode = TransportMode::kRdmaDcqcn;
   net.StartFlow(f);
   net.RunFor(Milliseconds(5));
   ASSERT_EQ(t.host(0, 0)->completed_flows().size(), 1u);
@@ -111,7 +110,7 @@ TEST(Clos, EcmpSaltsChangePathSelection) {
     f.src_host = t.host(0, 0)->id();
     f.dst_host = t.host(2, 0)->id();
     f.size_bytes = 100 * 1000;
-    f.mode = TransportMode::kRdmaRaw;
+    f.cc_policy = CcPolicyIdByName("raw");
     f.ecmp_salt = salt;
     net.StartFlow(f);
     net.RunFor(Milliseconds(2));
@@ -137,7 +136,7 @@ TEST(Clos, NoRoutingLoops) {
       f.src_host = t.host(a, 0)->id();
       f.dst_host = t.host(b, 0)->id();
       f.size_bytes = 10 * 1000;
-      f.mode = TransportMode::kRdmaRaw;
+      f.cc_policy = CcPolicyIdByName("raw");
       net.StartFlow(f);
     }
   }

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "cc/cc_policy.h"
+#include "host/host_config.h"
 #include "net/topology.h"
 #include "runner/runner.h"
 #include "runner/serialize.h"
@@ -30,6 +31,7 @@
 #include "workload/collective.h"
 #include "workload/incast.h"
 #include "workload/sim_host.h"
+#include "workload/verbs_host.h"
 #include "workload/workload.h"
 
 namespace dcqcn {
@@ -108,7 +110,7 @@ PatternRun RunPattern(const std::string& name, uint64_t seed, Time duration,
   Network net(seed);
   const ClosTopology topo = BuildClos(net, /*hosts_per_tor=*/5, TopologyOptions{});
   const std::vector<RdmaNic*> hosts = topo.AllHosts();
-  SimWorkloadHost whost(net, hosts, TransportMode::kRdmaDcqcn);
+  SimWorkloadHost whost(net, hosts);
   WorkloadSpec spec;
   spec.name = name;
   std::unique_ptr<WorkloadPattern> pattern =
@@ -345,7 +347,7 @@ TEST(WorkloadPatterns, IncastRunsExactlyConfiguredEpochs) {
   Network net(3);
   const ClosTopology topo = BuildClos(net, 5, TopologyOptions{});
   const std::vector<RdmaNic*> hosts = topo.AllHosts();
-  SimWorkloadHost whost(net, hosts, TransportMode::kRdmaDcqcn);
+  SimWorkloadHost whost(net, hosts);
   workload::IncastOptions opts;
   opts.fan_in = 6;
   opts.request_bytes = 32 * kKB;
@@ -363,7 +365,7 @@ TEST(WorkloadPatterns, AllreduceRingIterationFlowCountMatchesAlgorithm) {
   Network net(5);
   const ClosTopology topo = BuildClos(net, 5, TopologyOptions{});
   const std::vector<RdmaNic*> hosts = topo.AllHosts();
-  SimWorkloadHost whost(net, hosts, TransportMode::kRdmaDcqcn);
+  SimWorkloadHost whost(net, hosts);
   workload::AllreduceRingOptions opts;
   opts.nodes = 6;
   opts.vector_bytes = 120 * kKB;  // 20 KB chunks
@@ -382,7 +384,7 @@ TEST(WorkloadPatterns, AllToAllRoundIsFullBipartiteExchange) {
   Network net(9);
   const ClosTopology topo = BuildClos(net, 5, TopologyOptions{});
   const std::vector<RdmaNic*> hosts = topo.AllHosts();
-  SimWorkloadHost whost(net, hosts, TransportMode::kRdmaDcqcn);
+  SimWorkloadHost whost(net, hosts);
   workload::AllToAllOptions opts;
   opts.nodes = 5;
   opts.bytes_per_peer = 16 * kKB;
@@ -401,20 +403,37 @@ TEST(WorkloadPatterns, AllToAllRoundIsFullBipartiteExchange) {
 // --cc: a matrix mixing every registered pattern with several policies
 // serializes to identical bytes under --jobs 1 and --jobs 8.
 
+// The mode-taking host constructors forward to the policy-id ones and
+// refuse a mode the policy did not register.
+TEST(WorkloadHostModeForward, ForwardsTheRegisteredModeAndRejectsOthers) {
+  Network net(1);
+  TopologyOptions topt;
+  topt.nic_config.host_path =
+      host::MakeHostPathConfig(host::ParseHostSpec("default"));
+  const std::vector<RdmaNic*> hosts = BuildStar(net, 3, topt).hosts;
+  const int16_t dctcp = CcPolicyIdByName("dctcp");
+  const TransportMode mode = CcPolicyInfoById(dctcp).mode;
+  EXPECT_EQ(SimWorkloadHost(net, hosts, mode, dctcp).num_hosts(), 3);
+  EXPECT_EQ(workload::VerbsWorkloadHost(net, hosts, mode, dctcp).num_hosts(),
+            3);
+  EXPECT_DEATH(SimWorkloadHost(net, hosts, mode, kDcqcnPolicyId), "");
+  EXPECT_DEATH(workload::VerbsWorkloadHost(net, hosts, mode, kDcqcnPolicyId),
+               "");
+}
+
 TEST(WorkloadRegistry, PatternCcMatrixIsJobsInvariant) {
   std::vector<runner::TrialSpec> matrix;
   for (const std::string& pattern_name : WorkloadPatternNames()) {
     for (const char* cc_name : {"dcqcn", "dctcp", "timely"}) {
       const int16_t cc_id = CcPolicyIdByName(cc_name);
       ASSERT_GE(cc_id, 0);
-      const TransportMode mode = CcPolicyInfoById(cc_id).mode;
       runner::TrialSpec spec;
       spec.name = pattern_name + "/" + cc_name;
-      spec.run = [pattern_name, cc_id, mode](const runner::TrialContext& ctx) {
+      spec.run = [pattern_name, cc_id](const runner::TrialContext& ctx) {
         Network net(ctx.seed);
         const ClosTopology topo = BuildClos(net, 5, TopologyOptions{});
         const std::vector<RdmaNic*> hosts = topo.AllHosts();
-        SimWorkloadHost whost(net, hosts, mode, cc_id);
+        SimWorkloadHost whost(net, hosts, cc_id);
         WorkloadSpec wspec;
         wspec.name = pattern_name;
         std::unique_ptr<WorkloadPattern> pattern =

@@ -24,7 +24,7 @@ TEST(Workload, UserPairsMakeClosedLoopProgress) {
   opt.incast_degree = 0;
   opt.size_scale = 0.05;
   PairsPattern traffic(opt);
-  SimWorkloadHost host(net, topo.AllHosts(), TransportMode::kRdmaDcqcn);
+  SimWorkloadHost host(net, topo.AllHosts());
   host.Begin(traffic);
   net.RunFor(Milliseconds(10));
   EXPECT_GT(traffic.user_transfers(), 50);
@@ -42,7 +42,7 @@ TEST(Workload, IncastStreamsRepeat) {
   opt.incast_degree = 4;
   opt.incast_flow_bytes = 100 * kKB;
   PairsPattern traffic(opt);
-  SimWorkloadHost host(net, topo.AllHosts(), TransportMode::kRdmaDcqcn);
+  SimWorkloadHost host(net, topo.AllHosts());
   host.Begin(traffic);
   net.RunFor(Milliseconds(10));
   // Each of the 4 sources streams chunks continuously: many transfers.
@@ -59,7 +59,7 @@ TEST(Workload, IncastSharesBottleneckAcrossSenders) {
   opt.incast_degree = 5;
   opt.incast_flow_bytes = 250 * kKB;
   PairsPattern traffic(opt);
-  SimWorkloadHost host(net, topo.AllHosts(), TransportMode::kRdmaDcqcn);
+  SimWorkloadHost host(net, topo.AllHosts());
   host.Begin(traffic);
   net.RunFor(Milliseconds(20));
   // Ideal per-flow is 8 Gbps (40/5); nobody can exceed it by much for a
@@ -78,7 +78,7 @@ TEST(Workload, DeterministicAcrossIdenticalRuns) {
     opt.size_scale = 0.05;
     opt.seed = 42;
     PairsPattern traffic(opt);
-    SimWorkloadHost host(net, topo.AllHosts(), TransportMode::kRdmaDcqcn);
+    SimWorkloadHost host(net, topo.AllHosts());
     host.Begin(traffic);
     net.RunFor(Milliseconds(5));
     return std::make_pair(traffic.user_transfers(),
@@ -92,7 +92,7 @@ TEST(Workload, DeterministicAcrossIdenticalRuns) {
 std::vector<double> RunOnClos(workload::WorkloadPattern& pattern) {
   Network net(11);
   auto topo = BuildClos(net, 5, TopologyOptions{});
-  SimWorkloadHost host(net, topo.AllHosts(), TransportMode::kRdmaDcqcn);
+  SimWorkloadHost host(net, topo.AllHosts());
   host.Begin(pattern);
   net.RunFor(Milliseconds(5));
   const workload::WorkloadMetrics& m = host.metrics();
@@ -157,7 +157,7 @@ TEST(ProbeSet, RateProbeMeasuresFlowGoodput) {
   f.src_host = topo.hosts[0]->id();
   f.dst_host = topo.hosts[1]->id();
   f.size_bytes = 0;  // greedy
-  f.mode = TransportMode::kRdmaRaw;
+  f.cc_policy = CcPolicyIdByName("raw");
   net.StartFlow(f);
   telemetry::ProbeSet probes(&net.eq(), Milliseconds(1));
   const size_t f0 = probes.AddRate(
@@ -178,7 +178,6 @@ TEST(ProbeSet, GaugeProbeBuildsQueueCdf) {
     f.src_host = topo.hosts[static_cast<size_t>(i)]->id();
     f.dst_host = topo.hosts[4]->id();
     f.size_bytes = 0;
-    f.mode = TransportMode::kRdmaDcqcn;
     net.StartFlow(f);
   }
   telemetry::ProbeSet probes(&net.eq(), Microseconds(10));

@@ -16,7 +16,7 @@ Each sample is charged to the innermost (inlined) frame under src/ whose
 module is a layer (MODULES below). Helper code is charged to the layer that
 called it: src/common/ except the RNG (so TransmissionTime goes to the link
 or the switch), the packet queues' ring buffer and pool, the packet and
-node headers, stats/ and trace/. Samples inside perfbench's calibration
+node headers, stats/ and workload/distributions. Samples inside perfbench's calibration
 kernels are dropped. The rest split into phases by
 their stack: the timed engine run (sim_ms), the timed set-up (topology,
 workload start; setup_s), and untimed work (checks, teardown). Each layer's
@@ -62,7 +62,7 @@ MODULES = {
     "net/packet": None,
     "net/node": None,
     "stats/": None,
-    "trace/": None,
+    "workload/distributions": None,
 }
 # Phase and calibration markers: (function name, source file). addr2line
 # names an inlined frame by its bare name, so markers match the unqualified
