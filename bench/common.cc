@@ -8,198 +8,12 @@
 #include "host/host_config.h"
 #include "hybrid/engine.h"
 #include "net/shard.h"
-#include "telemetry/probes.h"
-#include "workload/pairs.h"
 #include "workload/sim_host.h"
 #include "workload/verbs_host.h"
 #include "workload/workload.h"
 
 namespace dcqcn {
 namespace bench {
-namespace {
-
-// Starts a closed-loop transfer stream: `bytes` messages back-to-back on one
-// warm QP; every completion is recorded into `out` (goodput, Gbps) and the
-// next message enqueued immediately.
-SenderQp* ClosedLoop(Network& net, RdmaNic* src, RdmaNic* dst, Bytes bytes,
-                     int16_t policy, uint64_t salt, Cdf* out) {
-  FlowSpec f;
-  f.flow_id = net.NextFlowId();
-  f.src_host = src->id();
-  f.dst_host = dst->id();
-  f.size_bytes = bytes;
-  f.cc_policy = policy;
-  f.ecmp_salt = salt;
-  SenderQp* qp = net.StartFlow(f);
-  const int id = f.flow_id;
-  // The first transfer spans the experiment's cold start (every flow still
-  // converging); skip it in the statistics like the paper's warmed runs.
-  auto seen = std::make_shared<int>(0);
-  src->AddCompletionCallback([out, qp, id, bytes, seen](const FlowRecord& r) {
-    if (r.spec.flow_id != id) return;
-    if (out != nullptr && (*seen)++ > 0) out->Add(r.goodput() / 1e9);
-    qp->EnqueueMessage(bytes);
-  });
-  return qp;
-}
-
-SenderQp* Greedy(Network& net, RdmaNic* src, RdmaNic* dst,
-                 int16_t policy, uint64_t salt) {
-  FlowSpec f;
-  f.flow_id = net.NextFlowId();
-  f.src_host = src->id();
-  f.dst_host = dst->id();
-  f.size_bytes = 0;
-  f.cc_policy = policy;
-  f.ecmp_salt = salt;
-  return net.StartFlow(f);
-}
-
-}  // namespace
-
-UnfairnessResult RunUnfairness(int16_t policy, Time duration_per_run,
-                               int repeats, uint64_t seed_base) {
-  UnfairnessResult res;
-  res.per_host.resize(4);
-  for (int run = 0; run < repeats; ++run) {
-    Network net(seed_base + static_cast<uint64_t>(run));
-    ClosTopology topo = BuildClos(net, 3, TopologyOptions{});
-    RdmaNic* receiver = topo.host(3, 1);
-    RdmaNic* senders[4] = {topo.host(0, 0), topo.host(0, 1), topo.host(0, 2),
-                           topo.host(3, 0)};
-    for (int h = 0; h < 4; ++h) {
-      const uint64_t salt = seed_base * 1000 + static_cast<uint64_t>(
-                                run * 17 + h * 131);
-      ClosedLoop(net, senders[h], receiver, 4000 * kKB, policy, salt,
-                 &res.per_host[static_cast<size_t>(h)]);
-    }
-    net.RunFor(duration_per_run);
-  }
-  return res;
-}
-
-Cdf RunVictim(int16_t policy, int t3_senders, Time duration_per_run,
-              int repeats, uint64_t seed_base) {
-  DCQCN_CHECK(t3_senders >= 0 && t3_senders <= 2);
-  // One median per run, so runs with fast victims (which complete many more
-  // transfers) do not dominate the pooled statistic.
-  Cdf run_medians;
-  for (int run = 0; run < repeats; ++run) {
-    const auto salt0 = seed_base + static_cast<uint64_t>(run) * 7919;
-    Network net(salt0);
-    ClosTopology topo = BuildClos(net, 5, TopologyOptions{});
-    RdmaNic* r = topo.host(3, 0);
-    // H11-H14 incast into R.
-    for (int h = 0; h < 4; ++h) {
-      Greedy(net, topo.host(0, h), r, policy,
-             salt0 + static_cast<uint64_t>(h));
-    }
-    // Extra senders under T3 into R (the congestion NOT on VS's path).
-    for (int h = 0; h < t3_senders; ++h) {
-      Greedy(net, topo.host(2, h), r, policy,
-             salt0 + 100 + static_cast<uint64_t>(h));
-    }
-    // Victim: VS (under T1) -> VR (under T2), 2 MB transfers.
-    Cdf victim;
-    ClosedLoop(net, topo.host(0, 4), topo.host(1, 0), 2000 * kKB, policy,
-               salt0 + 200, &victim);
-    net.RunFor(duration_per_run);
-    if (!victim.empty()) run_medians.Add(victim.Quantile(0.5));
-  }
-  return run_medians;
-}
-
-TwoFlowResult RunTwoFlowValidation(const DcqcnParams& params, uint64_t seed) {
-  Network net(seed);
-  TopologyOptions opt;
-  opt.switch_config.red = params.red;
-  opt.nic_config.params = params;
-  StarTopology topo = BuildStar(net, 3, opt);
-  for (int i = 0; i < 2; ++i) {
-    FlowSpec f;
-    f.flow_id = i;
-    f.src_host = topo.hosts[static_cast<size_t>(i)]->id();
-    f.dst_host = topo.hosts[2]->id();
-    f.size_bytes = 0;
-    f.start_time = i * Milliseconds(5);
-    net.StartFlow(f);
-  }
-  RdmaNic* recv = topo.hosts[2];
-  telemetry::ProbeSet probes(&net.eq(), Milliseconds(1));
-  const size_t f1 =
-      probes.AddRate("f1", [recv] { return recv->ReceiverDeliveredBytes(0); });
-  const size_t f2 =
-      probes.AddRate("f2", [recv] { return recv->ReceiverDeliveredBytes(1); });
-  probes.Start();
-  net.RunFor(Milliseconds(100));
-
-  const Time from = Milliseconds(50), to = Milliseconds(100);
-  TwoFlowResult r;
-  r.r1 = probes.MeanOver(f1, from, to);
-  r.r2 = probes.MeanOver(f2, from, to);
-  // Rate variability of flow 1 over the tail (captures RED-with-slow-timer
-  // instability in the fig. 13 (c) configuration).
-  r.stddev1 = TailOver(probes.Series(f1), from, to).stddev;
-  return r;
-}
-
-IncastResult RunIncast(int k, uint64_t seed) {
-  DCQCN_CHECK(k >= 1);
-  Network net(seed);
-  StarTopology topo = BuildStar(net, k + 1, TopologyOptions{});
-  for (int i = 0; i < k; ++i) {
-    FlowSpec f;
-    f.flow_id = i;
-    f.src_host = topo.hosts[static_cast<size_t>(i)]->id();
-    f.dst_host = topo.hosts[static_cast<size_t>(k)]->id();
-    f.size_bytes = 0;
-    net.StartFlow(f);
-  }
-  RdmaNic* recv = topo.hosts[static_cast<size_t>(k)];
-  SharedBufferSwitch* sw = topo.sw;
-  telemetry::ProbeSet probes(&net.eq(), Microseconds(10));
-  const size_t rate = probes.AddRate("total", [recv, k] {
-    Bytes b = 0;
-    for (int i = 0; i < k; ++i) b += recv->ReceiverDeliveredBytes(i);
-    return b;
-  });
-  const size_t queue = probes.AddGauge("queue", [sw, k] {
-    return static_cast<double>(sw->EgressQueueBytes(k, kDataPriority));
-  });
-  probes.Start();
-  net.RunFor(Milliseconds(20));
-
-  IncastResult r;
-  r.total_gbps = probes.MeanOver(rate, Milliseconds(10), Milliseconds(20));
-  r.p99_queue_bytes = probes.ToCdf(queue, Milliseconds(10)).Quantile(0.99);
-  return r;
-}
-
-TrafficResult RunBenchmarkTraffic(int16_t policy, int incast_degree,
-                                  int num_pairs, Time duration,
-                                  uint64_t seed,
-                                  const TopologyOptions& topo_opts) {
-  Network net(seed);
-  ClosTopology topo = BuildClos(net, 5, topo_opts);
-  workload::PairsOptions opt;
-  opt.num_pairs = num_pairs;
-  opt.incast_degree = incast_degree;
-  opt.seed = seed;
-  workload::PairsPattern traffic(opt);
-  workload::SimWorkloadHost host(net, topo.AllHosts(), policy);
-  host.Begin(traffic);
-  net.RunFor(duration);
-
-  TrafficResult res;
-  res.user = traffic.user_goodput();
-  res.incast = traffic.incast_goodput();
-  for (auto* s : topo.spines) {
-    res.spine_pauses += s->counters().pause_frames_received;
-  }
-  res.total_pauses = net.TotalPauseFramesSent();
-  res.drops = net.TotalDrops();
-  return res;
-}
 
 std::vector<ScaleCase> ScaleCases(bool smoke) {
   const Time unit = smoke ? Microseconds(100) : Milliseconds(1);
@@ -422,7 +236,7 @@ runner::TrialSpec ScaleTrial(const ScaleCase& c,
 }
 
 void StartGreedyFlow(Network& net, RdmaNic* src, RdmaNic* dst, int flow_id,
-                     int16_t policy, Time start) {
+                     int16_t policy, Time start, uint64_t ecmp_salt) {
   FlowSpec f;
   f.flow_id = flow_id;
   f.src_host = src->id();
@@ -430,6 +244,7 @@ void StartGreedyFlow(Network& net, RdmaNic* src, RdmaNic* dst, int flow_id,
   f.size_bytes = 0;  // greedy
   f.cc_policy = policy;
   f.start_time = start;
+  f.ecmp_salt = ecmp_salt;
   net.StartFlow(f);
 }
 

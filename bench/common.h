@@ -1,8 +1,6 @@
-// Shared experiment runners for the figure-reproduction benches.
-//
-// Each paper experiment that appears twice (with and without DCQCN) has a
-// single parameterized runner here, so the PFC-only and DCQCN benches are
-// guaranteed to differ in nothing but the congestion-control policy.
+// Shared scaffolding for the extension benches (ext_*): CC-comparison
+// helpers and the ext_scale trial. The paper's own figures live in
+// bench/figures.h.
 #pragma once
 
 #include <algorithm>
@@ -18,66 +16,6 @@
 
 namespace dcqcn {
 namespace bench {
-
-// ---------- Fig. 3 / Fig. 8: parking-lot unfairness on the testbed ----------
-//
-// H1-H3 under T1, H4 under T4, all sending 4 MB transfers back-to-back to R
-// (also under T4). Per-transfer goodputs are pooled over `repeats` runs with
-// different ECMP salts ("depending on how ECMP maps the flows").
-struct UnfairnessResult {
-  std::vector<Cdf> per_host;  // goodput (Gbps) of H1..H4
-};
-
-UnfairnessResult RunUnfairness(int16_t policy, Time duration_per_run,
-                               int repeats, uint64_t seed_base);
-
-// ---------- Fig. 4 / Fig. 9: victim flow ----------
-//
-// H11-H14 (under T1) run a greedy incast into R (under T4); VS (under T1)
-// sends 2 MB transfers to VR (under T2); `t3_senders` extra greedy senders
-// under T3 also target R. Returns the pooled victim per-transfer goodputs.
-Cdf RunVictim(int16_t policy, int t3_senders, Time duration_per_run,
-              int repeats, uint64_t seed_base);
-
-// ---------- §6.2 benchmark traffic (Figs. 15-18) ----------
-struct TrafficResult {
-  Cdf user;    // per-transfer goodput, Gbps
-  Cdf incast;  // per-rebuild-flow goodput, Gbps
-  int64_t spine_pauses = 0;  // PAUSE frames received at S1+S2
-  int64_t total_pauses = 0;  // PAUSE frames sent anywhere
-  int64_t drops = 0;
-};
-
-TrafficResult RunBenchmarkTraffic(int16_t policy, int incast_degree,
-                                  int num_pairs, Time duration,
-                                  uint64_t seed,
-                                  const TopologyOptions& topo_opts);
-
-// ---------- Fig. 13: two-flow parameter validation ----------
-//
-// Two unbounded flows through one star switch, the second joining at 5 ms;
-// 100 ms run, statistics over the settled tail [50 ms, 100 ms). Shared by
-// the fig. 13 bench and any parameter-ablation study.
-struct TwoFlowResult {
-  double r1 = 0, r2 = 0;  // tail-window mean goodput, Gbps
-  double stddev1 = 0;     // flow-1 rate stddev over the tail (stability)
-};
-
-TwoFlowResult RunTwoFlowValidation(const DcqcnParams& params,
-                                   uint64_t seed = 6);
-
-// ---------- §6.1: K:1 incast with deployment parameters ----------
-//
-// 20 ms run; throughput and bottleneck-queue statistics over the second
-// half (tail from 10 ms), sampled every 10 us.
-struct IncastResult {
-  double total_gbps = 0;       // aggregate delivered goodput over the tail
-  double p99_queue_bytes = 0;  // bottleneck egress-queue p99 over the tail
-};
-
-IncastResult RunIncast(int k, uint64_t seed = 8);
-
-inline TopologyOptions DefaultTopo() { return TopologyOptions{}; }
 
 // ---------- CC-comparison scaffolding (ext_qcn / ext_timely) ----------
 //
@@ -98,7 +36,7 @@ inline TopologyOptions CcTopo(int16_t policy) {
 // Starts one greedy (unbounded) flow src -> dst with an explicit flow id
 // under the given CC selection.
 void StartGreedyFlow(Network& net, RdmaNic* src, RdmaNic* dst, int flow_id,
-                     int16_t policy, Time start = 0);
+                     int16_t policy, Time start = 0, uint64_t ecmp_salt = 0);
 
 // Delivered-bytes sum over flow ids [0, n) at `dst`.
 Bytes DeliveredSum(const RdmaNic* dst, int n);
@@ -165,27 +103,6 @@ struct ScaleTrialOptions {
 // the spec carries a plan.
 runner::TrialSpec ScaleTrial(const ScaleCase& c,
                              const ScaleTrialOptions& opt);
-
-// Convenience quantile printers.
-inline double Q(const Cdf& c, double p) {
-  return c.empty() ? 0.0 : c.Quantile(p);
-}
-
-// Median of each pooled CDF (0 for an empty one) — the per-host / per-config
-// statistic figs. 8 and 9 compare.
-inline std::vector<double> Medians(const std::vector<Cdf>& cdfs) {
-  std::vector<double> m;
-  m.reserve(cdfs.size());
-  for (const Cdf& c : cdfs) m.push_back(Q(c, 0.5));
-  return m;
-}
-
-// max - min of a value set (fig. 9's "flat across configs" measure).
-inline double Spread(const std::vector<double>& v) {
-  if (v.empty()) return 0.0;
-  const auto [lo, hi] = std::minmax_element(v.begin(), v.end());
-  return *hi - *lo;
-}
 
 }  // namespace bench
 }  // namespace dcqcn

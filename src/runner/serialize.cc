@@ -1,80 +1,18 @@
 #include "runner/serialize.h"
 
-#include <cinttypes>
 #include <cstdio>
 #include <set>
+
+#include "telemetry/json_writer.h"
 
 namespace dcqcn {
 namespace runner {
 
-namespace {
-
-// %.17g round-trips every finite double; the shortest fixed format that is
-// also platform-stable for identical bit patterns.
-void AppendDouble(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-void AppendInt(std::string& out, int64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  out += buf;
-}
-
-void AppendUint(std::string& out, uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out += buf;
-}
-
-// Minimal JSON string escaping: the result names we generate are plain
-// ASCII, but quote/backslash/control bytes must never corrupt the stream.
-void AppendJsonString(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-void AppendSummary(std::string& out, const Summary& s) {
-  out += "{\"min\":";
-  AppendDouble(out, s.min);
-  out += ",\"p10\":";
-  AppendDouble(out, s.p10);
-  out += ",\"p25\":";
-  AppendDouble(out, s.p25);
-  out += ",\"median\":";
-  AppendDouble(out, s.median);
-  out += ",\"p75\":";
-  AppendDouble(out, s.p75);
-  out += ",\"p90\":";
-  AppendDouble(out, s.p90);
-  out += ",\"max\":";
-  AppendDouble(out, s.max);
-  out += ",\"mean\":";
-  AppendDouble(out, s.mean);
-  out += ",\"count\":";
-  AppendUint(out, s.count);
-  out += '}';
-}
-
-}  // namespace
+using telemetry::AppendDouble;
+using telemetry::AppendInt;
+using telemetry::AppendJsonString;
+using telemetry::AppendSummary;
+using telemetry::AppendUint;
 
 std::string ResultsToJson(const std::vector<TrialResult>& results) {
   std::string out;

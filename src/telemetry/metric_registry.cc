@@ -1,8 +1,8 @@
 #include "telemetry/metric_registry.h"
 
-#include <cinttypes>
-#include <cstdio>
 #include <cstdlib>
+
+#include "telemetry/json_writer.h"
 
 namespace dcqcn {
 namespace telemetry {
@@ -66,42 +66,6 @@ RegistrySnapshot MetricRegistry::Snapshot() const {
 
 namespace {
 
-void AppendInt(std::string& out, int64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  out += buf;
-}
-
-void AppendDouble(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-// Metric keys are generated from identifier-style names plus the label
-// encoding — no characters that need JSON escaping — but escape defensively
-// so a creative metric name cannot produce invalid JSON.
-void AppendJsonString(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 void AppendIntMap(std::string& out, const std::map<std::string, int64_t>& m) {
   out += '{';
   bool first = true;
@@ -112,28 +76,6 @@ void AppendIntMap(std::string& out, const std::map<std::string, int64_t>& m) {
     out += ':';
     AppendInt(out, value);
   }
-  out += '}';
-}
-
-void AppendSummary(std::string& out, const Summary& s) {
-  out += "{\"min\":";
-  AppendDouble(out, s.min);
-  out += ",\"p10\":";
-  AppendDouble(out, s.p10);
-  out += ",\"p25\":";
-  AppendDouble(out, s.p25);
-  out += ",\"median\":";
-  AppendDouble(out, s.median);
-  out += ",\"p75\":";
-  AppendDouble(out, s.p75);
-  out += ",\"p90\":";
-  AppendDouble(out, s.p90);
-  out += ",\"max\":";
-  AppendDouble(out, s.max);
-  out += ",\"mean\":";
-  AppendDouble(out, s.mean);
-  out += ",\"count\":";
-  AppendInt(out, static_cast<int64_t>(s.count));
   out += '}';
 }
 

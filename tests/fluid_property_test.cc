@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "fluid/fluid_model.h"
 #include "fluid/sweep.h"
@@ -111,6 +112,13 @@ struct SweepCase {
   double byte_counter_kb;
   bool expect_convergence;
 };
+
+// Names the parameterized tests by value; gtest's default printer would dump
+// the struct's bytes, padding included, so names would change per build.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << "T=" << c.timer_us << "us B=" << c.byte_counter_kb << "KB "
+      << (c.expect_convergence ? "converges" : "diverges");
+}
 
 class ConvergenceCases : public ::testing::TestWithParam<SweepCase> {};
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <tuple>
 
 #include "common/rng.h"
@@ -74,6 +75,12 @@ struct RpGrid {
   int f;
   double rai_mbps;
 };
+
+// Names the parameterized tests by value; gtest's default printer would dump
+// the struct's bytes, padding included, so names would change per build.
+void PrintTo(const RpGrid& p, std::ostream* os) {
+  *os << "g=" << p.g << " F=" << p.f << " R_AI=" << p.rai_mbps << "Mbps";
+}
 
 class RpInvariants : public ::testing::TestWithParam<RpGrid> {};
 

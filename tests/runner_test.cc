@@ -78,11 +78,16 @@ std::vector<runner::TrialSpec> BuildMatrix() {
   return matrix;
 }
 
-std::string RunToJson(int jobs, uint64_t seed) {
+runner::RunnerOptions Options(int jobs, uint64_t seed) {
   runner::RunnerOptions opt;
   opt.jobs = jobs;
   opt.base_seed = seed;
-  return runner::ResultsToJson(runner::RunTrials(BuildMatrix(), opt));
+  return opt;
+}
+
+std::string RunToJson(int jobs, uint64_t seed) {
+  return runner::ResultsToJson(
+      runner::RunTrials(BuildMatrix(), Options(jobs, seed)));
 }
 
 // A trial that executes its spec's fault plan against a private network.
@@ -139,8 +144,8 @@ std::vector<runner::TrialSpec> BuildFaultMatrix() {
 }
 
 TEST(Runner, FaultMatrixIsByteIdenticalAcrossJobCounts) {
-  runner::RunnerOptions serial{1, 11};
-  runner::RunnerOptions parallel{8, 11};
+  const runner::RunnerOptions serial = Options(1, 11);
+  const runner::RunnerOptions parallel = Options(8, 11);
   const auto r1 = runner::RunTrials(BuildFaultMatrix(), serial);
   const auto r8 = runner::RunTrials(BuildFaultMatrix(), parallel);
   const std::string json1 = runner::ResultsToJson(r1);
@@ -188,8 +193,8 @@ TEST(Runner, DifferentBaseSeedChangesResults) {
 }
 
 TEST(Runner, CsvIsByteIdenticalAcrossJobCounts) {
-  runner::RunnerOptions serial{1, 7};
-  runner::RunnerOptions parallel{8, 7};
+  const runner::RunnerOptions serial = Options(1, 7);
+  const runner::RunnerOptions parallel = Options(8, 7);
   EXPECT_EQ(runner::ResultsToCsv(runner::RunTrials(BuildMatrix(), serial)),
             runner::ResultsToCsv(runner::RunTrials(BuildMatrix(), parallel)));
 }
