@@ -1,10 +1,9 @@
 #include "fault/fault_plan.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 
 #include "common/check.h"
+#include "telemetry/json_writer.h"
 
 namespace dcqcn {
 
@@ -123,22 +122,6 @@ bool FaultPlan::AllBounded() const {
                      [](const FaultSpec& f) { return f.bounded(); });
 }
 
-namespace {
-
-void AppendInt64(std::string& out, int64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  out += buf;
-}
-
-void AppendProbability(std::string& out, double p) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", p);
-  out += buf;
-}
-
-}  // namespace
-
 std::string FaultPlan::ToJson() const {
   std::string out = "[";
   bool first = true;
@@ -148,36 +131,36 @@ std::string FaultPlan::ToJson() const {
     out += "{\"kind\":\"";
     out += FaultKindName(f.kind);
     out += "\",\"at\":";
-    AppendInt64(out, f.at);
+    telemetry::AppendInt(out, f.at);
     out += ",\"duration\":";
-    AppendInt64(out, f.duration);
+    telemetry::AppendInt(out, f.duration);
     out += ",\"node_a\":";
-    AppendInt64(out, f.node_a);
+    telemetry::AppendInt(out, f.node_a);
     switch (f.kind) {
       case FaultKind::kLinkFlap:
         out += ",\"node_b\":";
-        AppendInt64(out, f.node_b);
+        telemetry::AppendInt(out, f.node_b);
         break;
       case FaultKind::kPacketLoss:
       case FaultKind::kCorruption:
         out += ",\"node_b\":";
-        AppendInt64(out, f.node_b);
+        telemetry::AppendInt(out, f.node_b);
         out += ",\"probability\":";
-        AppendProbability(out, f.probability);
+        telemetry::AppendDouble(out, f.probability);
         break;
       case FaultKind::kPauseStorm:
         out += ",\"priority\":";
-        AppendInt64(out, f.priority);
+        telemetry::AppendInt(out, f.priority);
         out += ",\"refresh\":";
-        AppendInt64(out, f.refresh);
+        telemetry::AppendInt(out, f.refresh);
         break;
       case FaultKind::kSlowReceiver:
         out += ",\"delay\":";
-        AppendInt64(out, f.delay);
+        telemetry::AppendInt(out, f.delay);
         break;
       case FaultKind::kBufferShrink:
         out += ",\"buffer_bytes\":";
-        AppendInt64(out, f.buffer_bytes);
+        telemetry::AppendInt(out, f.buffer_bytes);
         break;
     }
     out += '}';
@@ -194,34 +177,34 @@ std::string FaultPlan::ToCompactString() const {
     first = false;
     out += FaultKindName(f.kind);
     out += ':';
-    AppendInt64(out, f.node_a);
+    telemetry::AppendInt(out, f.node_a);
     if (f.node_b >= 0) {
       out += '-';
-      AppendInt64(out, f.node_b);
+      telemetry::AppendInt(out, f.node_b);
     }
     out += ":at";
-    AppendInt64(out, f.at);
+    telemetry::AppendInt(out, f.at);
     out += ":dur";
-    AppendInt64(out, f.duration);
+    telemetry::AppendInt(out, f.duration);
     switch (f.kind) {
       case FaultKind::kLinkFlap:
         break;
       case FaultKind::kPacketLoss:
       case FaultKind::kCorruption:
         out += ":p";
-        AppendProbability(out, f.probability);
+        telemetry::AppendDouble(out, f.probability);
         break;
       case FaultKind::kPauseStorm:
         out += ":prio";
-        AppendInt64(out, f.priority);
+        telemetry::AppendInt(out, f.priority);
         break;
       case FaultKind::kSlowReceiver:
         out += ":delay";
-        AppendInt64(out, f.delay);
+        telemetry::AppendInt(out, f.delay);
         break;
       case FaultKind::kBufferShrink:
         out += ":bytes";
-        AppendInt64(out, f.buffer_bytes);
+        telemetry::AppendInt(out, f.buffer_bytes);
         break;
     }
   }

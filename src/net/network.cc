@@ -122,8 +122,8 @@ Link* Network::Connect(Node* a, int port_a, Node* b, int port_b, Rate rate,
     raw->SetTracer(tracer_.get());
     raw->set_index(static_cast<int32_t>(links_.size()));
     links_.push_back(std::move(link));
-    adj_[static_cast<size_t>(a->id())].push_back(Adjacency{b, port_a});
-    adj_[static_cast<size_t>(b->id())].push_back(Adjacency{a, port_b});
+    AddAdjacency(a, port_a, b);
+    AddAdjacency(b, port_b, a);
     return raw;
   }
   // Conservative lookahead: a zero-latency link would let a frame cross a
@@ -164,9 +164,14 @@ Link* Network::Connect(Node* a, int port_a, Node* b, int port_b, Rate rate,
   raw->SetDirectionTracers(shards_[sa].tracer.get(), shards_[sb].tracer.get());
   raw->set_index(static_cast<int32_t>(links_.size()));
   links_.push_back(std::move(link));
-  adj_[static_cast<size_t>(a->id())].push_back(Adjacency{b, port_a});
-  adj_[static_cast<size_t>(b->id())].push_back(Adjacency{a, port_b});
+  AddAdjacency(a, port_a, b);
+  AddAdjacency(b, port_b, a);
   return raw;
+}
+
+void Network::AddAdjacency(const Node* a, int port_a, const Node* b) {
+  adj_[static_cast<size_t>(a->id())].push_back(
+      Adjacency{b->id(), port_a, host(b->id()) != nullptr});
 }
 
 void Network::BuildRoutes() {
@@ -176,21 +181,28 @@ void Network::BuildRoutes() {
   // for every node other than the host itself, distance to the host =
   // distance to its switch + 1. Hence one BFS from the attachment switch
   // serves all of its hosts: any other switch's equal-cost set toward a
-  // host is its set toward that switch, and the attachment switch routes
-  // the host on the port that reaches it. A host attached to no switch
-  // (unwired, or wired to another host) is reachable from no switch and
-  // gets no routes. The BFS buffers are reused across switches.
+  // host is its set toward that switch, so each (switch, attachment
+  // switch) pair interns that set once and stamps it on all of the
+  // attachment switch's hosts in one call; the attachment switch routes
+  // each host on the port that reaches it. The BFS never enters a host.
+  // A host attached to no switch (unwired, or wired to another host) is
+  // reachable from no switch and gets no routes. The BFS buffers are
+  // reused across switches.
   for (const auto& nic : nics_) {
     DCQCN_CHECK(adj_[static_cast<size_t>(nic->id())].size() <= 1);
   }
   std::vector<int> dist(nodes_.size());
   std::vector<int> frontier(nodes_.size());
   std::vector<int> ports;
-  std::vector<const Adjacency*> hosts;  // attach's adjacencies to hosts
+  std::vector<int> hosts;  // attach's host ids, in wiring order
   for (const auto& attach : switches_) {
     hosts.clear();
     for (const Adjacency& a : adj_[static_cast<size_t>(attach->id())]) {
-      if (host(a.peer->id()) != nullptr) hosts.push_back(&a);
+      if (a.peer_is_host) {
+        hosts.push_back(a.peer);
+        ports.assign(1, a.local_port);
+        attach->SetRoute(a.peer, ports);
+      }
     }
     if (hosts.empty()) continue;
     std::fill(dist.begin(), dist.end(), kInf);
@@ -200,32 +212,26 @@ void Network::BuildRoutes() {
       const int cur = frontier[head];
       const int d = dist[static_cast<size_t>(cur)];
       for (const Adjacency& a : adj_[static_cast<size_t>(cur)]) {
-        auto& pd = dist[static_cast<size_t>(a.peer->id())];
+        if (a.peer_is_host) continue;
+        auto& pd = dist[static_cast<size_t>(a.peer)];
         if (pd == kInf) {
           pd = d + 1;
-          frontier[tail++] = a.peer->id();
+          frontier[tail++] = a.peer;
         }
       }
     }
-    // Each switch keeps every port whose peer is one hop closer — the
+    // Each other switch keeps every port whose peer is one hop closer — the
     // equal-cost set ECMP hashes over.
     for (const auto& sw : switches_) {
-      if (sw == attach) {
-        for (const Adjacency* h : hosts) {
-          ports.assign(1, h->local_port);
-          sw->SetRoute(h->peer->id(), ports);
-        }
-        continue;
-      }
       const int d = dist[static_cast<size_t>(sw->id())];
-      if (d == kInf) continue;  // unreachable
+      if (d == 0 || d == kInf) continue;  // attach itself, or unreachable
       ports.clear();
       for (const Adjacency& a : adj_[static_cast<size_t>(sw->id())]) {
-        if (dist[static_cast<size_t>(a.peer->id())] == d - 1) {
+        if (!a.peer_is_host && dist[static_cast<size_t>(a.peer)] == d - 1) {
           ports.push_back(a.local_port);
         }
       }
-      for (const Adjacency* h : hosts) sw->SetRoute(h->peer->id(), ports);
+      sw->SetRoutes(hosts, ports);
     }
   }
 }

@@ -78,8 +78,9 @@ class Network {
 
   // Computes shortest-path routes from every switch toward every host, with
   // all equal-cost next hops retained for ECMP. Call after wiring. Runs one
-  // BFS per switch that has hosts attached (hosts are single-port leaves,
-  // so a host's routes are its switch's routes; see network.cc).
+  // BFS per switch that has hosts attached and interns one port set per
+  // (switch, attachment switch) (hosts are single-port leaves, so a host's
+  // routes are its switch's routes; see network.cc).
   void BuildRoutes();
 
   // Registers a flow in the flow directory and on its source NIC. Assigns a
@@ -182,10 +183,14 @@ class Network {
   std::string ExportChromeTrace() const;
 
  private:
+  // One wired port: the peer's node id and whether the peer is a host, so
+  // the route build walks ids and never dereferences a Node.
   struct Adjacency {
-    Node* peer = nullptr;
+    int peer = -1;
     int local_port = -1;
+    bool peer_is_host = false;
   };
+  void AddAdjacency(const Node* a, int port_a, const Node* b);
 
   // One shard's private engine. Only its owning thread touches `eq`/`pool`
   // during a window; the orchestrating thread owns everything between
@@ -245,7 +250,7 @@ class Network {
   std::vector<RdmaNic*> nic_by_id_;
   std::vector<SharedBufferSwitch*> switch_by_id_;
   std::vector<std::unique_ptr<Link>> links_;
-  // node id -> list of (peer, local port)
+  // node id -> its wired ports, in wiring order
   std::vector<std::vector<Adjacency>> adj_;
   std::vector<Node*> nodes_;  // node id -> node
   std::unique_ptr<telemetry::EventTracer> tracer_;

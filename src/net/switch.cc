@@ -61,24 +61,27 @@ void SharedBufferSwitch::SetSharedBufferOverride(Bytes bytes) {
   CheckResumeAll();
 }
 
-void SharedBufferSwitch::SetRoute(int dst_host,
-                                  const std::vector<int>& ports) {
-  DCQCN_CHECK(dst_host >= 0);
+void SharedBufferSwitch::SetRoutes(std::span<const int> dst_hosts,
+                                   const std::vector<int>& ports) {
   DCQCN_CHECK(!ports.empty());
-  if (last_group_ == kNoRoute || route_groups_[last_group_] != ports) {
-    const size_t g = static_cast<size_t>(
-        std::find(route_groups_.begin(), route_groups_.end(), ports) -
-        route_groups_.begin());
-    if (g == route_groups_.size()) {
-      for (int p : ports) DCQCN_CHECK(p >= 0 && p < num_ports());
-      DCQCN_CHECK(g < kNoRoute);
-      route_groups_.push_back(ports);
-    }
-    last_group_ = static_cast<uint16_t>(g);
+  if (dst_hosts.empty()) return;
+  const auto [lo, hi] =
+      std::minmax_element(dst_hosts.begin(), dst_hosts.end());
+  DCQCN_CHECK(*lo >= 0);
+  const size_t g = static_cast<size_t>(
+      std::find(route_groups_.begin(), route_groups_.end(), ports) -
+      route_groups_.begin());
+  if (g == route_groups_.size()) {
+    for (int p : ports) DCQCN_CHECK(p >= 0 && p < num_ports());
+    DCQCN_CHECK(g < kNoRoute);
+    route_groups_.push_back(ports);
   }
-  const auto dst = static_cast<size_t>(dst_host);
-  if (dst >= route_group_.size()) route_group_.resize(dst + 1, kNoRoute);
-  route_group_[dst] = last_group_;
+  if (static_cast<size_t>(*hi) >= route_group_.size()) {
+    route_group_.resize(static_cast<size_t>(*hi) + 1, kNoRoute);
+  }
+  for (int dst : dst_hosts) {
+    route_group_[static_cast<size_t>(dst)] = static_cast<uint16_t>(g);
+  }
 }
 
 const std::vector<int>& SharedBufferSwitch::RouteTo(int dst_host) const {

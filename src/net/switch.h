@@ -26,6 +26,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -126,10 +127,14 @@ class SharedBufferSwitch : public Node {
   // Routing: equal-cost output ports toward a destination host. ECMP picks
   // among them by hashing the flow's key with this switch's id. Every host
   // behind one next hop shares its port set, so a destination stores only a
-  // 16-bit id into a small table of distinct sets, interned here by
-  // comparison (the last-used set first, which is what a host-by-host
-  // build hits). RouteTo returns the interned set.
-  void SetRoute(int dst_host, const std::vector<int>& ports);
+  // 16-bit id into a small table of distinct sets. SetRoutes interns `ports`
+  // once (by comparison) and points every host in `dst_hosts` (any order;
+  // an empty list does nothing) at it, growing the table at most once.
+  // SetRoute is its one-host case. RouteTo returns the interned set.
+  void SetRoutes(std::span<const int> dst_hosts, const std::vector<int>& ports);
+  void SetRoute(int dst_host, const std::vector<int>& ports) {
+    SetRoutes(std::span<const int>(&dst_host, 1), ports);
+  }
   const std::vector<int>& RouteTo(int dst_host) const;
   bool HasRouteTo(int dst_host) const {
     return dst_host >= 0 &&
@@ -286,7 +291,6 @@ class SharedBufferSwitch : public Node {
   static constexpr uint16_t kNoRoute = 0xffff;
   std::vector<uint16_t> route_group_;             // dst host -> group id
   std::vector<std::vector<int>> route_groups_;    // distinct port sets
-  uint16_t last_group_ = kNoRoute;                // SetRoute's last hit
   SwitchCounters counters_;
   telemetry::EventTracer* tracer_ = nullptr;
 };

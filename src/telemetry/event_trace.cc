@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <set>
 
+#include "telemetry/json_writer.h"
+
 namespace dcqcn {
 namespace telemetry {
 
@@ -54,18 +56,6 @@ void AppendTs(std::string& out, Time t) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%" PRId64 ".%06" PRId64, t / 1000000,
                 t % 1000000);
-  out += buf;
-}
-
-void AppendInt(std::string& out, int64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  out += buf;
-}
-
-void AppendDouble(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
   out += buf;
 }
 

@@ -99,7 +99,8 @@ TEST(Network, ParkingLotRoutesMatchPerHostBfs) {
                 Microseconds(1));
   }
   net.BuildRoutes();
-  EXPECT_EQ(ExpectRoutesMatchReference(net), kSwitches * 2 * kSwitches);
+  EXPECT_EQ(ExpectRoutesMatchReference(net, ReferenceRoutes(net)),
+            kSwitches * 2 * kSwitches);
 }
 
 // Random connected switch graphs: a random spanning tree plus extra links,
@@ -160,7 +161,9 @@ TEST(Network, RandomSwitchGraphsWithParallelLinksMatchPerHostBfs) {
       }
     }
     net.BuildRoutes();
-    EXPECT_EQ(ExpectRoutesMatchReference(net), n * hosts);
+    const ReferenceTable want = ReferenceRoutes(net);
+    EXPECT_EQ(ExpectRoutesMatchReference(net, want), n * hosts);
+    ExpectRouteGroupsMatchReference(net, want);
   }
 }
 
@@ -180,7 +183,7 @@ TEST(Network, HostToHostLinkAndUnconnectedHostGetNoRoutes) {
   net.Connect(s2, 2, b, 0, Gbps(40), Microseconds(1));
   net.Connect(p, 0, q, 0, Gbps(40), Microseconds(1));
   net.BuildRoutes();
-  EXPECT_EQ(ExpectRoutesMatchReference(net), 4);
+  EXPECT_EQ(ExpectRoutesMatchReference(net, ReferenceRoutes(net)), 4);
   for (const auto* sw : {s1, s2}) {
     for (const auto* h : {p, q, lonely}) EXPECT_FALSE(sw->HasRouteTo(h->id()));
   }
@@ -255,6 +258,36 @@ TEST(Network, SetRouteOverridesAfterBuildRoutes) {
   EXPECT_GT(sent_via(0), 0);
   EXPECT_GT(sent_via(1), 0);
   EXPECT_EQ(sent_via(2), via2);
+}
+
+// SetRoutes points a whole host list at one interned set: ids past the end
+// of the table and out of order, an empty list that changes nothing, and a
+// re-stamp that moves only the hosts it names.
+TEST(Network, SetRoutesStampsOneSetOnAHostList) {
+  Network net(1);
+  auto* sw = net.AddSwitch(4, SwitchConfig{});
+  const std::vector<int> wide = {0, 1};
+  sw->SetRoutes(std::vector<int>{9, 3, 7}, wide);
+  EXPECT_EQ(sw->route_group_count(), 1u);
+  for (int h : {9, 3, 7}) EXPECT_EQ(sw->RouteTo(h), wide) << "host " << h;
+  for (int h : {0, 2, 4, 8, 10}) EXPECT_FALSE(sw->HasRouteTo(h)) << h;
+
+  sw->SetRoutes({}, {2});  // no hosts: no new set, no new route
+  EXPECT_EQ(sw->route_group_count(), 1u);
+  EXPECT_FALSE(sw->HasRouteTo(10));
+
+  sw->SetRoutes(std::vector<int>{12, 3}, {2});  // 3 had a group already
+  EXPECT_EQ(sw->route_group_count(), 2u);
+  EXPECT_EQ(sw->RouteTo(3), (std::vector<int>{2}));
+  EXPECT_EQ(sw->RouteTo(12), (std::vector<int>{2}));
+  EXPECT_EQ(sw->RouteTo(9), wide);
+  EXPECT_EQ(sw->RouteTo(7), wide);
+  EXPECT_FALSE(sw->HasRouteTo(11));
+
+  sw->SetRoutes(std::vector<int>{3}, wide);  // back to an interned set
+  EXPECT_EQ(sw->route_group_count(), 2u);
+  EXPECT_EQ(sw->RouteTo(3), wide);
+  EXPECT_EQ(sw->RouteTo(12), (std::vector<int>{2}));
 }
 
 TEST(Network, HostLookupById) {

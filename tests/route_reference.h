@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -17,8 +18,9 @@
 namespace dcqcn {
 
 // routes[switch index in net.switches()][host id]; empty = no route.
-inline std::vector<std::vector<std::vector<int>>> ReferenceRoutes(
-    const Network& net) {
+using ReferenceTable = std::vector<std::vector<std::vector<int>>>;
+
+inline ReferenceTable ReferenceRoutes(const Network& net) {
   // Adjacency in wiring order: each link adds one entry at either end.
   size_t num_nodes = 0;
   for (const auto& sw : net.switches()) {
@@ -46,8 +48,8 @@ inline std::vector<std::vector<std::vector<int>>> ReferenceRoutes(
     adj[static_cast<size_t>(b->id())].push_back(Adj{a->id(), port_of(b, l.get())});
   }
   constexpr int kInf = std::numeric_limits<int>::max();
-  std::vector<std::vector<std::vector<int>>> routes(
-      net.switches().size(), std::vector<std::vector<int>>(num_nodes));
+  ReferenceTable routes(net.switches().size(),
+                        std::vector<std::vector<int>>(num_nodes));
   for (const auto& h : net.hosts()) {
     std::vector<int> dist(num_nodes, kInf);
     std::deque<int> frontier = {h->id()};
@@ -78,9 +80,10 @@ inline std::vector<std::vector<std::vector<int>>> ReferenceRoutes(
 
 // Every (switch, host) pair's RouteTo equals the reference set exactly —
 // same ports, same order (ECMP indexes into it) — and a pair without a
-// reference route has none. Returns the number of routed pairs.
-inline int ExpectRoutesMatchReference(const Network& net) {
-  const auto want = ReferenceRoutes(net);
+// reference route has none. `want` is ReferenceRoutes(net). Returns the
+// number of routed pairs.
+inline int ExpectRoutesMatchReference(const Network& net,
+                                      const ReferenceTable& want) {
   int routed = 0;
   for (size_t s = 0; s < net.switches().size(); ++s) {
     const SharedBufferSwitch& sw = *net.switches()[s];
@@ -95,6 +98,22 @@ inline int ExpectRoutesMatchReference(const Network& net) {
     }
   }
   return routed;
+}
+
+// Each switch interned exactly one group per distinct reference set: no
+// duplicate of a set and no set that no host uses. Valid right after
+// BuildRoutes (a later SetRoute override can leave a set unused). `want`
+// is ReferenceRoutes(net).
+inline void ExpectRouteGroupsMatchReference(const Network& net,
+                                            const ReferenceTable& want) {
+  for (size_t s = 0; s < net.switches().size(); ++s) {
+    std::set<std::vector<int>> distinct;
+    for (const std::vector<int>& ref : want[s]) {
+      if (!ref.empty()) distinct.insert(ref);
+    }
+    EXPECT_EQ(net.switches()[s]->route_group_count(), distinct.size())
+        << "switch " << net.switches()[s]->id();
+  }
 }
 
 }  // namespace dcqcn

@@ -151,8 +151,8 @@ TEST(Clos, NoRoutingLoops) {
 
 // Every ext_scale Clos shape, 20 to 512 hosts, plus the 2-hosts-per-ToR
 // testbed of the Fig. 3/20 parking-lot benches: each (switch, host) pair's
-// equal-cost set equals a per-host BFS's, and each switch interns a handful
-// of distinct sets rather than one per host.
+// equal-cost set equals a per-host BFS's, and each switch interns exactly
+// its distinct sets — a handful, not one per host.
 TEST(Clos, EveryScaleCaseRoutesMatchPerHostBfs) {
   std::vector<std::pair<std::string, ClosShape>> shapes = {
       {"parking_lot_4tor_8h", ClosShape{.hosts_per_tor = 2}}};
@@ -164,8 +164,10 @@ TEST(Clos, EveryScaleCaseRoutesMatchPerHostBfs) {
     Network net(1);
     const ClosTopology t = BuildClos(net, shape, TopologyOptions{});
     const int hosts = shape.num_tors() * shape.hosts_per_tor;
-    EXPECT_EQ(ExpectRoutesMatchReference(net),
+    const ReferenceTable want = ReferenceRoutes(net);
+    EXPECT_EQ(ExpectRoutesMatchReference(net, want),
               static_cast<int>(net.switches().size()) * hosts);
+    ExpectRouteGroupsMatchReference(net, want);
     for (const auto& sw : net.switches()) {
       EXPECT_LE(sw->route_group_count(),
                 static_cast<size_t>(sw->num_ports()) + 1);

@@ -21,7 +21,8 @@ kernels are dropped. The rest split into phases by
 their stack: the timed engine run (sim_ms), the timed set-up (topology,
 workload start; setup_s), and untimed work (checks, teardown). Each layer's
 ms per trial is its share of a phase times that phase's median per trial
-from the same run (share x sim_ms, share x setup_s).
+from the same run (share x sim_ms, share x setup_s). The run exits 1 when
+fewer than MIN_COVERAGE percent of the simulation samples land in layers.
 """
 import argparse
 import array
@@ -64,21 +65,34 @@ MODULES = {
     "stats/": None,
     "workload/distributions": None,
 }
-# Phase and calibration markers: (function name, source file). addr2line
-# names an inlined frame by its bare name, so markers match the unqualified
-# name plus the file that defines it.
+# The run fails (exit 1, after printing) when fewer than this percentage of
+# the simulation samples land in named layers: an unmapped module or a lost
+# symbolization then shows instead of passing as "unattributed".
+MIN_COVERAGE = 95
+# Phase and calibration markers: (function name, source file or directory/).
+# addr2line names an inlined frame by its bare name, so markers match the
+# unqualified name plus the file that defines it; a path ending in "/"
+# matches every file under it.
 CALIBRATION = {("KernelSeconds", "perfbench/bench.cc"),
                ("CalibrationSeconds", "perfbench/bench.cc")}
 # Network::Run tail-calls EventQueue::RunUntil, so its own frame is often
 # gone from the stack; RunUntil marks the engine run instead.
 RUN = {("Run", "src/net/network.cc"), ("Run", "src/hybrid/engine.cc"),
        ("RunUntil", "src/sim/event_queue.h")}
-SETUP = {("BuildClos", "src/net/topology.cc"),
+# The timed set-up (perfbench's t0 -> t2) is marked by every function it
+# calls directly. The workload hosts' Begin tail-calls the pattern's Begin,
+# so every Begin under src/workload/ is a marker; the seed-only Network
+# constructor is inline in network.h.
+SETUP = {("Network", "src/net/network.h"),
          ("Network", "src/net/network.cc"),
+         ("BuildClos", "src/net/topology.cc"),
+         ("ParseHybridSpec", "src/hybrid/engine.cc"),
+         ("HybridEngine", "src/hybrid/engine.cc"),
+         ("ParseWorkloadSpec", "src/workload/workload.cc"),
          ("CreateWorkloadPattern", "src/workload/workload.cc"),
-         ("Begin", "src/workload/sim_host.cc"),
-         ("Begin", "src/workload/verbs_host.cc"),
-         ("HybridEngine", "src/hybrid/engine.cc")}
+         ("SimWorkloadHost", "src/workload/sim_host.cc"),
+         ("VerbsWorkloadHost", "src/workload/verbs_host.cc"),
+         ("Begin", "src/workload/")}
 
 def build(build_dir):
     steps = []
@@ -156,8 +170,24 @@ def bare_name(fn):
 
 
 def marked(chain, markers):
-    return any((bare_name(fn), path[len(ROOT) + 1:]) in markers
-               for fn, path in chain if path.startswith(ROOT))
+    for fn, path in chain:
+        if not path.startswith(ROOT + os.sep):
+            continue
+        name, rel = bare_name(fn), path[len(ROOT) + 1:]
+        if any(name == m and (rel == where or where.endswith("/") and
+                              rel.startswith(where))
+               for m, where in markers):
+            return True
+    return False
+
+
+def phase_of(chain):
+    """'calibration', 'run', 'setup' or 'untimed' for one frame chain."""
+    if marked(chain, CALIBRATION):
+        return "calibration"
+    if marked(chain, RUN):
+        return "run"
+    return "setup" if marked(chain, SETUP) else "untimed"
 
 
 def layer_of(path):
@@ -226,22 +256,22 @@ def main():
     calibration = 0
     for s in samples:
         chain = [f for a in s for f in frames.get(a - bias, [])]
-        if marked(chain, CALIBRATION):
+        phase = phase_of(chain)
+        if phase == "calibration":
             calibration += 1
             continue
-        phase = ("run" if marked(chain, RUN) else
-                 "setup" if marked(chain, SETUP) else "untimed")
         layer, path = charge(chain)
         phases[phase][layer or "unattributed"] += 1
         files[phase][path or "(outside src/)"] += 1
 
     simulation = sum(sum(c.values()) for c in phases.values())
     named = simulation - sum(c["unattributed"] for c in phases.values())
+    coverage = 100.0 * named / max(1, simulation)
     print(f"{args.workload}: {len(stacks)} samples, one per "
           f"{1e3 * cpu_s / max(1, len(stacks)):.1f} ms of user CPU time; "
           f"{calibration} in calibration kernels (dropped); "
           f"{named} of {simulation} simulation samples "
-          f"({100.0 * named / max(1, simulation):.1f}%) charged to layers")
+          f"({coverage:.1f}%) charged to layers")
     per_trial = {"run": ("sim_ms", metric["sim_ms"]),
                  "setup": ("setup_s", metric["setup_s"] * 1e3),
                  "untimed": (None, None)}
@@ -260,6 +290,9 @@ def main():
         print("  top source files:")
         for path, n in files[phase].most_common(8):
             print(f"    {100.0 * n / total:5.1f}%  {path}")
+    if coverage < MIN_COVERAGE:
+        sys.exit(f"layer_profile: {coverage:.1f}% of simulation samples "
+                 f"charged to layers, below {MIN_COVERAGE}%")
 
 
 if __name__ == "__main__":
