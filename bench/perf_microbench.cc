@@ -13,6 +13,7 @@
 #include "host/host_device.h"
 #include "host/lru_cache.h"
 #include "hybrid/engine.h"
+#include "net/route_plan.h"
 #include "net/shard.h"
 #include "net/topology.h"
 #include "runner/runner.h"
@@ -267,20 +268,23 @@ void BM_NicManyQpArbitration(benchmark::State& state) {
 }
 BENCHMARK(BM_NicManyQpArbitration);
 
+// bench/ext_scale's 512-host Clos (its xlarge shape).
+ClosShape Clos512() {
+  return ClosShape{.pods = 8,
+                   .tors_per_pod = 4,
+                   .leaves_per_pod = 4,
+                   .spines = 8,
+                   .hosts_per_tor = 16};
+}
+
 void BM_BuildClos(benchmark::State& state) {
   // Topology set-up alone: build (and tear down) the paper's 20-host Clos
   // or bench/ext_scale's 512-host one, routes included — the fixed cost
-  // every trial on that topology pays before its first event.
-  ClosShape shape;  // paper testbed: 4 ToRs x 5 hosts
-  shape.hosts_per_tor = 5;
-  if (state.range(0) == 512) {
-    shape.pods = 8;
-    shape.tors_per_pod = 4;
-    shape.leaves_per_pod = 4;
-    shape.spines = 8;
-    shape.hosts_per_tor = 16;
-  }
-  DCQCN_CHECK(shape.num_tors() * shape.hosts_per_tor == state.range(0));
+  // every trial on that topology pays before its first event. Every
+  // iteration after the first finds the shape's route plan interned, so
+  // this is the cache-hit path; BM_RoutePlanBuild is the miss.
+  const ClosShape shape = state.range(0) == 512 ? Clos512() : ClosShape{};
+  DCQCN_CHECK(shape.num_hosts() == state.range(0));
   for (auto _ : state) {
     Network net(1);
     const ClosTopology topo = BuildClos(net, shape, TopologyOptions{});
@@ -289,6 +293,21 @@ void BM_BuildClos(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_BuildClos)->Arg(20)->Arg(512)->Unit(benchmark::kMicrosecond);
+
+void BM_RoutePlanBuild(benchmark::State& state) {
+  // The route-plan miss path: BuildRoutePlan on the 512-host Clos's wiring,
+  // with no intern-table lookup — what a process pays for routes the first
+  // time it builds a shape, on top of BM_BuildClos/512.
+  DCQCN_CHECK(state.range(0) == 512);
+  Network net(1);
+  BuildClos(net, Clos512(), TopologyOptions{});
+  const RouteWiring wiring = net.wiring();
+  for (auto _ : state) {
+    const RoutePlan plan = BuildRoutePlan(wiring);
+    benchmark::DoNotOptimize(plan.tables.data());
+  }
+}
+BENCHMARK(BM_RoutePlanBuild)->Arg(512)->Unit(benchmark::kMicrosecond);
 
 void BM_FlowChurn(benchmark::State& state) {
   // Fixed per-flow cost: each iteration starts 64 one-packet DCQCN flows
@@ -299,14 +318,8 @@ void BM_FlowChurn(benchmark::State& state) {
   // Items are completed flows.
   constexpr int kBatch = 64;
   constexpr int kFlowsPerNetwork = 2048;
-  ClosShape shape;  // paper testbed: 4 ToRs x 5 hosts
-  if (state.range(0) == 512) {
-    shape.pods = 8;
-    shape.tors_per_pod = 4;
-    shape.leaves_per_pod = 4;
-    shape.spines = 8;
-    shape.hosts_per_tor = 16;
-  }
+  // paper testbed: 4 ToRs x 5 hosts
+  const ClosShape shape = state.range(0) == 512 ? Clos512() : ClosShape{};
   DCQCN_CHECK(shape.num_hosts() == state.range(0));
   std::unique_ptr<Network> net;
   std::vector<RdmaNic*> hosts;
@@ -355,12 +368,7 @@ void BM_LargeClosThroughput(benchmark::State& state) {
   // 512-host / 1024-flow Clos under cross-ToR incast + random traffic
   // (bench/ext_scale's xlarge shape). Exercises every scale-out change at
   // once: wheel-served timers, batched NIC ticks, the flow directory.
-  ClosShape shape;
-  shape.pods = 8;
-  shape.tors_per_pod = 4;
-  shape.leaves_per_pod = 4;
-  shape.spines = 8;
-  shape.hosts_per_tor = 16;
+  const ClosShape shape = Clos512();
   Network net(1);
   const ClosTopology topo = BuildClos(net, shape, TopologyOptions{});
   const std::vector<RdmaNic*> hosts = topo.AllHosts();
@@ -399,12 +407,7 @@ void BM_LargeClosShardedThroughput(benchmark::State& state) {
   // runner the shards>1 rows measure the engine's coordination overhead
   // (barriers + channel injection + per-Run thread spawn), not parallelism.
   const int shards = static_cast<int>(state.range(0));
-  ClosShape shape;
-  shape.pods = 8;
-  shape.tors_per_pod = 4;
-  shape.leaves_per_pod = 4;
-  shape.spines = 8;
-  shape.hosts_per_tor = 16;
+  const ClosShape shape = Clos512();
   const ShardPlan plan = MakeClosShardPlan(shape, shards);
   Network net(1, plan);
   const ClosTopology topo = BuildClos(net, shape, TopologyOptions{});

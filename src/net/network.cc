@@ -52,10 +52,9 @@ SharedBufferSwitch* Network::AddSwitch(int num_ports,
   SharedBufferSwitch* raw = sw.get();
   raw->SetTracer(tracer);
   switches_.push_back(std::move(sw));
-  nodes_.push_back(raw);
+  AddNode(raw, num_ports);
   nic_by_id_.push_back(nullptr);
   switch_by_id_.push_back(raw);
-  adj_.emplace_back();
   return raw;
 }
 
@@ -81,10 +80,9 @@ RdmaNic* Network::AddHost(const NicConfig& cfg) {
   }
   RdmaNic* raw = nic.get();
   nics_.push_back(std::move(nic));
-  nodes_.push_back(raw);
+  AddNode(raw, /*switch_ports=*/-1);
   nic_by_id_.push_back(raw);
   switch_by_id_.push_back(nullptr);
-  adj_.emplace_back();
   return raw;
 }
 
@@ -103,11 +101,14 @@ SharedBufferSwitch* Network::FindSwitch(int node_id) const {
 }
 
 Link* Network::FindLink(int node_a, int node_b) const {
-  for (const auto& l : links_) {
-    const int a = l->node_a()->id();
-    const int b = l->node_b()->id();
-    if ((a == node_a && b == node_b) || (a == node_b && b == node_a)) {
-      return l.get();
+  if (node_a < 0 || static_cast<size_t>(node_a) >= nodes_.size()) {
+    return nullptr;
+  }
+  // Adjacency is in wiring order, so the first match is the first link
+  // wired between the two.
+  for (const WiredPort& a : wiring_.adj[static_cast<size_t>(node_a)]) {
+    if (a.peer == node_b) {
+      return nodes_[static_cast<size_t>(node_a)]->link(a.local_port);
     }
   }
   return nullptr;
@@ -169,70 +170,21 @@ Link* Network::Connect(Node* a, int port_a, Node* b, int port_b, Rate rate,
   return raw;
 }
 
+void Network::AddNode(Node* node, int switch_ports) {
+  nodes_.push_back(node);
+  wiring_.switch_ports.push_back(switch_ports);
+  wiring_.adj.emplace_back().reserve(static_cast<size_t>(node->num_ports()));
+}
+
 void Network::AddAdjacency(const Node* a, int port_a, const Node* b) {
-  adj_[static_cast<size_t>(a->id())].push_back(
-      Adjacency{b->id(), port_a, host(b->id()) != nullptr});
+  wiring_.adj[static_cast<size_t>(a->id())].push_back(
+      WiredPort{b->id(), port_a, host(b->id()) != nullptr});
 }
 
 void Network::BuildRoutes() {
-  constexpr int kInf = std::numeric_limits<int>::max();
-  // One BFS per switch with hosts attached, not one per host. A NIC has
-  // one port, so a host is a leaf: no shortest path passes through it, and
-  // for every node other than the host itself, distance to the host =
-  // distance to its switch + 1. Hence one BFS from the attachment switch
-  // serves all of its hosts: any other switch's equal-cost set toward a
-  // host is its set toward that switch, so each (switch, attachment
-  // switch) pair interns that set once and stamps it on all of the
-  // attachment switch's hosts in one call; the attachment switch routes
-  // each host on the port that reaches it. The BFS never enters a host.
-  // A host attached to no switch (unwired, or wired to another host) is
-  // reachable from no switch and gets no routes. The BFS buffers are
-  // reused across switches.
-  for (const auto& nic : nics_) {
-    DCQCN_CHECK(adj_[static_cast<size_t>(nic->id())].size() <= 1);
-  }
-  std::vector<int> dist(nodes_.size());
-  std::vector<int> frontier(nodes_.size());
-  std::vector<int> ports;
-  std::vector<int> hosts;  // attach's host ids, in wiring order
-  for (const auto& attach : switches_) {
-    hosts.clear();
-    for (const Adjacency& a : adj_[static_cast<size_t>(attach->id())]) {
-      if (a.peer_is_host) {
-        hosts.push_back(a.peer);
-        ports.assign(1, a.local_port);
-        attach->SetRoute(a.peer, ports);
-      }
-    }
-    if (hosts.empty()) continue;
-    std::fill(dist.begin(), dist.end(), kInf);
-    dist[static_cast<size_t>(attach->id())] = 0;
-    frontier[0] = attach->id();
-    for (size_t head = 0, tail = 1; head < tail; ++head) {
-      const int cur = frontier[head];
-      const int d = dist[static_cast<size_t>(cur)];
-      for (const Adjacency& a : adj_[static_cast<size_t>(cur)]) {
-        if (a.peer_is_host) continue;
-        auto& pd = dist[static_cast<size_t>(a.peer)];
-        if (pd == kInf) {
-          pd = d + 1;
-          frontier[tail++] = a.peer;
-        }
-      }
-    }
-    // Each other switch keeps every port whose peer is one hop closer — the
-    // equal-cost set ECMP hashes over.
-    for (const auto& sw : switches_) {
-      const int d = dist[static_cast<size_t>(sw->id())];
-      if (d == 0 || d == kInf) continue;  // attach itself, or unreachable
-      ports.clear();
-      for (const Adjacency& a : adj_[static_cast<size_t>(sw->id())]) {
-        if (!a.peer_is_host && dist[static_cast<size_t>(a.peer)] == d - 1) {
-          ports.push_back(a.local_port);
-        }
-      }
-      sw->SetRoutes(hosts, ports);
-    }
+  route_plan_ = InternRoutePlan(wiring_);
+  for (size_t i = 0; i < switches_.size(); ++i) {
+    switches_[i]->ShareRoutes(route_plan_->tables[i]);
   }
 }
 

@@ -30,6 +30,7 @@
 #include "common/rng.h"
 #include "common/units.h"
 #include "net/link.h"
+#include "net/route_plan.h"
 #include "net/shard.h"
 #include "net/switch.h"
 #include "nic/rdma_nic.h"
@@ -77,11 +78,14 @@ class Network {
                 Time propagation);
 
   // Computes shortest-path routes from every switch toward every host, with
-  // all equal-cost next hops retained for ECMP. Call after wiring. Runs one
-  // BFS per switch that has hosts attached and interns one port set per
-  // (switch, attachment switch) (hosts are single-port leaves, so a host's
-  // routes are its switch's routes; see network.cc).
+  // all equal-cost next hops retained for ECMP. Call after wiring. The
+  // routes are the wiring's interned RoutePlan (net/route_plan.h): built
+  // once per distinct wiring per process and shared read-only by every
+  // Network wired the same way; a later SetRoute on one of this network's
+  // switches copies that switch's table first.
   void BuildRoutes();
+  // What BuildRoutes reads: every node's kind, port count and wired ports.
+  const RouteWiring& wiring() const { return wiring_; }
 
   // Registers a flow in the flow directory and on its source NIC. Assigns a
   // flow id if spec.flow_id is negative. An explicit id must not belong to
@@ -135,8 +139,9 @@ class Network {
   RdmaNic* host(int node_id) const;
   // The switch with this node id, or nullptr.
   SharedBufferSwitch* FindSwitch(int node_id) const;
-  // The link connecting the two node ids (in either order), or nullptr.
-  // Fault plans name links this way — endpoint ids are stable under the
+  // The link connecting the two node ids (in either order), or nullptr;
+  // the first one wired if there are several. O(ports of node_a). Fault
+  // plans name links this way — endpoint ids are stable under the
   // deterministic topology builders, unlike construction order indices.
   Link* FindLink(int node_a, int node_b) const;
 
@@ -183,13 +188,7 @@ class Network {
   std::string ExportChromeTrace() const;
 
  private:
-  // One wired port: the peer's node id and whether the peer is a host, so
-  // the route build walks ids and never dereferences a Node.
-  struct Adjacency {
-    int peer = -1;
-    int local_port = -1;
-    bool peer_is_host = false;
-  };
+  void AddNode(Node* node, int switch_ports);
   void AddAdjacency(const Node* a, int port_a, const Node* b);
 
   // One shard's private engine. Only its owning thread touches `eq`/`pool`
@@ -239,6 +238,9 @@ class Network {
   std::vector<int> free_flow_ids_;
   std::vector<FlowSpec> pending_release_;
   bool release_armed_ = false;
+  // Shared read-only routes the switches point into (BuildRoutes);
+  // declared before switches_ so it outlives them.
+  std::shared_ptr<const RoutePlan> route_plan_;
   std::vector<std::unique_ptr<SharedBufferSwitch>> switches_;
   // Flow id -> sender QP / receiver slot for every NIC (see rdma_nic.h).
   // Declared before nics_, which point at it.
@@ -250,8 +252,7 @@ class Network {
   std::vector<RdmaNic*> nic_by_id_;
   std::vector<SharedBufferSwitch*> switch_by_id_;
   std::vector<std::unique_ptr<Link>> links_;
-  // node id -> its wired ports, in wiring order
-  std::vector<std::vector<Adjacency>> adj_;
+  RouteWiring wiring_;
   std::vector<Node*> nodes_;  // node id -> node
   std::unique_ptr<telemetry::EventTracer> tracer_;
   // Per-round state for the worker threads; writes on one side of a barrier

@@ -1,6 +1,8 @@
 #include "net/switch.h"
 
 #include <algorithm>
+#include <memory>
+#include <type_traits>
 
 namespace dcqcn {
 
@@ -10,18 +12,13 @@ SharedBufferSwitch::SharedBufferSwitch(EventQueue* eq, Rng* rng, int id,
     : Node(id, num_ports),
       eq_(eq),
       rng_(rng),
-      config_(config),
-      egress_(static_cast<size_t>(num_ports)),
-      pq_(static_cast<size_t>(num_ports) * kNumPriorities),
-      egress_nonempty_(static_cast<size_t>(num_ports)),
-      tx_paused_mask_(static_cast<size_t>(num_ports)),
-      paused_accum_(static_cast<size_t>(num_ports)),
-      paused_since_(static_cast<size_t>(num_ports)),
-      rx_pause_expiry_(static_cast<size_t>(num_ports)),
-      pause_refresh_(static_cast<size_t>(num_ports)),
-      qcn_cp_(static_cast<size_t>(num_ports)),
-      pfc_out_(static_cast<size_t>(num_ports)),
-      in_flight_(static_cast<size_t>(num_ports)) {
+      config_(config) {
+  const auto ports = static_cast<size_t>(num_ports);
+  PortBlock sizing;
+  PlacePortArrays(sizing, ports);
+  port_block_ = std::make_unique_for_overwrite<std::byte[]>(sizing.bytes);
+  PortBlock block{port_block_.get()};
+  PlacePortArrays(block, ports);
   config_.Validate();
   DCQCN_CHECK(num_ports <= config_.buffer.num_ports);
   headroom_ = config_.headroom > 0 ? config_.headroom
@@ -38,8 +35,44 @@ SharedBufferSwitch::SharedBufferSwitch(EventQueue* eq, Rng* rng, int id,
     for (auto& q : port_queues) q.SetPool(pool);
   }
   for (auto& q : pfc_out_) q.SetPool(pool);
-  for (auto& a : paused_accum_) a.fill(0);
-  for (auto& a : paused_since_) a.fill(0);
+}
+
+SharedBufferSwitch::~SharedBufferSwitch() {
+  // The rings hand their storage back to the pool; every other array is
+  // trivially destructible, so its lifetime ends with the block.
+  static_assert(std::is_trivially_destructible_v<PqState> &&
+                std::is_trivially_destructible_v<EventHandle> &&
+                std::is_trivially_destructible_v<QcnCp> &&
+                std::is_trivially_destructible_v<InFlightRelease>);
+  std::destroy(egress_.begin(), egress_.end());
+  std::destroy(pfc_out_.begin(), pfc_out_.end());
+}
+
+template <typename T>
+std::span<T> SharedBufferSwitch::PortBlock::Place(size_t n) {
+  static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+  bytes = (bytes + alignof(T) - 1) / alignof(T) * alignof(T);
+  std::byte* at = base == nullptr ? nullptr : base + bytes;
+  bytes += n * sizeof(T);
+  if (at == nullptr) return {};
+  T* first = reinterpret_cast<T*>(at);
+  std::uninitialized_value_construct_n(first, n);  // zeroes plain data
+  return {first, n};
+}
+
+void SharedBufferSwitch::PlacePortArrays(PortBlock& block, size_t ports) {
+  egress_ = block.Place<std::array<RingBuffer<StoredPacket>, kNumPriorities>>(
+      ports);
+  pq_ = block.Place<PqState>(ports * kNumPriorities);
+  egress_nonempty_ = block.Place<uint8_t>(ports);
+  tx_paused_mask_ = block.Place<uint8_t>(ports);
+  paused_accum_ = block.Place<std::array<Time, kNumPriorities>>(ports);
+  paused_since_ = block.Place<std::array<Time, kNumPriorities>>(ports);
+  rx_pause_expiry_ = block.Place<std::array<EventHandle, kNumPriorities>>(ports);
+  pause_refresh_ = block.Place<std::array<EventHandle, kNumPriorities>>(ports);
+  qcn_cp_ = block.Place<std::array<QcnCp, kNumPriorities>>(ports);
+  pfc_out_ = block.Place<RingBuffer<Packet>>(ports);
+  in_flight_ = block.Place<InFlightRelease>(ports);
 }
 
 Bytes SharedBufferSwitch::EffectiveTotalBuffer() const {
@@ -61,34 +94,36 @@ void SharedBufferSwitch::SetSharedBufferOverride(Bytes bytes) {
   CheckResumeAll();
 }
 
+void SharedBufferSwitch::PointRoutesAt(const RouteTable& table) {
+  route_group_ = table.group.data();
+  route_group_size_ = table.group.size();
+  route_groups_ = table.groups.data();
+  route_group_count_ = table.groups.size();
+}
+
+void SharedBufferSwitch::ShareRoutes(const RouteTable& table) {
+  PointRoutesAt(table);
+  routes_shared_ = true;
+}
+
 void SharedBufferSwitch::SetRoutes(std::span<const int> dst_hosts,
                                    const std::vector<int>& ports) {
-  DCQCN_CHECK(!ports.empty());
-  if (dst_hosts.empty()) return;
-  const auto [lo, hi] =
-      std::minmax_element(dst_hosts.begin(), dst_hosts.end());
-  DCQCN_CHECK(*lo >= 0);
-  const size_t g = static_cast<size_t>(
-      std::find(route_groups_.begin(), route_groups_.end(), ports) -
-      route_groups_.begin());
-  if (g == route_groups_.size()) {
-    for (int p : ports) DCQCN_CHECK(p >= 0 && p < num_ports());
-    DCQCN_CHECK(g < kNoRoute);
-    route_groups_.push_back(ports);
+  for (int p : ports) DCQCN_CHECK(p >= 0 && p < num_ports());
+  if (routes_shared_) {  // copy on write
+    own_routes_.group.assign(route_group_, route_group_ + route_group_size_);
+    own_routes_.groups.assign(route_groups_,
+                              route_groups_ + route_group_count_);
+    routes_shared_ = false;
   }
-  if (static_cast<size_t>(*hi) >= route_group_.size()) {
-    route_group_.resize(static_cast<size_t>(*hi) + 1, kNoRoute);
-  }
-  for (int dst : dst_hosts) {
-    route_group_[static_cast<size_t>(dst)] = static_cast<uint16_t>(g);
-  }
+  own_routes_.Set(dst_hosts, ports);
+  PointRoutesAt(own_routes_);
 }
 
 const std::vector<int>& SharedBufferSwitch::RouteTo(int dst_host) const {
   DCQCN_CHECK(dst_host >= 0 &&
-              static_cast<size_t>(dst_host) < route_group_.size());
+              static_cast<size_t>(dst_host) < route_group_size_);
   const uint16_t g = route_group_[static_cast<size_t>(dst_host)];
-  DCQCN_CHECK(g != kNoRoute);
+  DCQCN_CHECK(g != RouteTable::kNoRoute);
   return route_groups_[g];
 }
 

@@ -25,7 +25,9 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -37,6 +39,7 @@
 #include "net/link.h"
 #include "net/node.h"
 #include "net/packet.h"
+#include "net/route_plan.h"
 #include "sim/event_queue.h"
 #include "sim/queue_pool.h"
 #include "sim/ring_buffer.h"
@@ -123,14 +126,18 @@ class SharedBufferSwitch : public Node {
   // nothing.
   SharedBufferSwitch(EventQueue* eq, Rng* rng, int id, int num_ports,
                      SwitchConfig config, QueuePool* pool = nullptr);
+  ~SharedBufferSwitch() override;
 
-  // Routing: equal-cost output ports toward a destination host. ECMP picks
-  // among them by hashing the flow's key with this switch's id. Every host
-  // behind one next hop shares its port set, so a destination stores only a
-  // 16-bit id into a small table of distinct sets. SetRoutes interns `ports`
-  // once (by comparison) and points every host in `dst_hosts` (any order;
-  // an empty list does nothing) at it, growing the table at most once.
-  // SetRoute is its one-host case. RouteTo returns the interned set.
+  // Routing: equal-cost output ports toward a destination host, held as a
+  // RouteTable (net/route_plan.h). ECMP picks among them by hashing the
+  // flow's key with this switch's id. ShareRoutes reads a table owned
+  // elsewhere (Network's shared RoutePlan) in place — it must outlive the
+  // switch or the next ShareRoutes — and replaces any earlier routes.
+  // SetRoutes interns `ports` and points every host in `dst_hosts` at it
+  // (RouteTable::Set); on a shared table it first copies it, so an override
+  // never reaches the table's other readers. SetRoute is its one-host case.
+  // RouteTo returns the interned set.
+  void ShareRoutes(const RouteTable& table);
   void SetRoutes(std::span<const int> dst_hosts, const std::vector<int>& ports);
   void SetRoute(int dst_host, const std::vector<int>& ports) {
     SetRoutes(std::span<const int>(&dst_host, 1), ports);
@@ -138,11 +145,11 @@ class SharedBufferSwitch : public Node {
   const std::vector<int>& RouteTo(int dst_host) const;
   bool HasRouteTo(int dst_host) const {
     return dst_host >= 0 &&
-           static_cast<size_t>(dst_host) < route_group_.size() &&
-           route_group_[static_cast<size_t>(dst_host)] != kNoRoute;
+           static_cast<size_t>(dst_host) < route_group_size_ &&
+           route_group_[static_cast<size_t>(dst_host)] != RouteTable::kNoRoute;
   }
   // Distinct port sets interned so far (overridden ones included).
-  size_t route_group_count() const { return route_groups_.size(); }
+  size_t route_group_count() const { return route_group_count_; }
 
   // The output port ECMP would pick for a flow with this key (exposed so
   // experiments can pre-compute path collisions, e.g. the Fig. 20 parking
@@ -254,15 +261,28 @@ class SharedBufferSwitch : public Node {
                static_cast<size_t>(priority)];
   }
 
+  // Every per-port and per-(port, priority) array below is its own
+  // contiguous array, carved out of one allocation made at construction:
+  // PlacePortArrays runs once with no block to sum the bytes, then once
+  // more to construct each array in place.
+  struct PortBlock {
+    std::byte* base = nullptr;  // null while sizing
+    size_t bytes = 0;
+    template <typename T>
+    std::span<T> Place(size_t n);
+  };
+  void PlacePortArrays(PortBlock& block, size_t ports);
+  std::unique_ptr<std::byte[]> port_block_;
+
   // Indexed [port][priority].
-  std::vector<std::array<RingBuffer<StoredPacket>, kNumPriorities>> egress_;
-  std::vector<PqState> pq_;  // [port * kNumPriorities + priority]
+  std::span<std::array<RingBuffer<StoredPacket>, kNumPriorities>> egress_;
+  std::span<PqState> pq_;  // [port * kNumPriorities + priority]
   // Per-port priority bitmasks mirroring egress_ emptiness and PqState
   // tx_paused: TrySend picks the first sendable priority with one ctz
   // instead of probing eight ring buffers.
   static_assert(kNumPriorities <= 8, "priority masks are uint8_t");
-  std::vector<uint8_t> egress_nonempty_;
-  std::vector<uint8_t> tx_paused_mask_;
+  std::span<uint8_t> egress_nonempty_;
+  std::span<uint8_t> tx_paused_mask_;
   // Count of (port, priority) pairs with pause_sent set, so the per-release
   // CheckResumeAll scan is skipped entirely in the common unpaused state.
   int pauses_outstanding_ = 0;
@@ -271,26 +291,33 @@ class SharedBufferSwitch : public Node {
   int tx_paused_count_ = 0;
   // Paused-time integration per (port, priority): closed episodes accumulate
   // into `paused_accum_`; `paused_since_` stamps the open episode.
-  std::vector<std::array<Time, kNumPriorities>> paused_accum_;
-  std::vector<std::array<Time, kNumPriorities>> paused_since_;
+  std::span<std::array<Time, kNumPriorities>> paused_accum_;
+  std::span<std::array<Time, kNumPriorities>> paused_since_;
   // Pause-quanta timers (only armed when the expiry/refresh knobs are on):
   // expiry of a received PAUSE, and periodic re-PAUSE of a sent one.
-  std::vector<std::array<EventHandle, kNumPriorities>> rx_pause_expiry_;
-  std::vector<std::array<EventHandle, kNumPriorities>> pause_refresh_;
+  std::span<std::array<EventHandle, kNumPriorities>> rx_pause_expiry_;
+  std::span<std::array<EventHandle, kNumPriorities>> pause_refresh_;
 
   // QCN congestion-point state per (egress port, priority).
-  std::vector<std::array<QcnCp, kNumPriorities>> qcn_cp_;
+  std::span<std::array<QcnCp, kNumPriorities>> qcn_cp_;
 
   // PFC frames awaiting transmission, per port (sent ahead of all data).
-  std::vector<RingBuffer<Packet>> pfc_out_;
+  std::span<RingBuffer<Packet>> pfc_out_;
   // Release record for the buffered packet currently serializing on each
   // port (`active` false when the port is idle or sending a PFC frame).
-  std::vector<InFlightRelease> in_flight_;
+  std::span<InFlightRelease> in_flight_;
 
   Bytes shared_used_ = 0;
-  static constexpr uint16_t kNoRoute = 0xffff;
-  std::vector<uint16_t> route_group_;             // dst host -> group id
-  std::vector<std::vector<int>> route_groups_;    // distinct port sets
+  // The routes RouteTo reads: a shared table's arrays, or own_routes_'s
+  // once SetRoutes wrote. Raw pointers, so a lookup costs the loads that
+  // vector members did.
+  void PointRoutesAt(const RouteTable& table);
+  const uint16_t* route_group_ = nullptr;  // dst host -> group id
+  size_t route_group_size_ = 0;
+  const std::vector<int>* route_groups_ = nullptr;  // distinct port sets
+  size_t route_group_count_ = 0;
+  bool routes_shared_ = false;
+  RouteTable own_routes_;
   SwitchCounters counters_;
   telemetry::EventTracer* tracer_ = nullptr;
 };

@@ -106,6 +106,34 @@ class Charge(unittest.TestCase):
                   "src/sim/event_queue.h"))
         self.assertEqual(lp.charge(chain), ("switch", "net/switch.cc"))
 
+    def test_route_plan_is_setup(self):
+        # A route-plan build (or an intern-table key comparison, whose
+        # std::vector frames sit outside src/) under BuildClos.
+        for inner in (
+                [frame("dcqcn::RouteTable::Set(std::span<int const, "
+                       "18446744073709551615ul>, std::vector<int, "
+                       "std::allocator<int> > const&)",
+                       "src/net/route_plan.cc"),
+                 frame("dcqcn::BuildRoutePlan(dcqcn::RouteWiring const&)",
+                       "src/net/route_plan.cc")],
+                [frame("std::operator==<dcqcn::WiredPort>("
+                       "std::vector<dcqcn::WiredPort> const&, "
+                       "std::vector<dcqcn::WiredPort> const&)",
+                       "/usr/include/c++/12/bits/stl_vector.h"),
+                 frame("dcqcn::InternRoutePlan(dcqcn::RouteWiring const&)",
+                       "src/net/route_plan.cc")]):
+            chain = trial(*inner,
+                          frame("dcqcn::Network::BuildRoutes()",
+                                "src/net/network.cc"),
+                          frame("dcqcn::BuildClos(dcqcn::Network&, "
+                                "dcqcn::ClosShape const&, "
+                                "dcqcn::TopologyOptions const&)",
+                                "src/net/topology.cc"))
+            with self.subTest(fn=inner[0][0]):
+                self.assertEqual(lp.phase_of(chain), "setup")
+                self.assertEqual(lp.charge(chain),
+                                 ("setup", "net/route_plan.cc"))
+
     def test_frames_outside_src_are_unattributed(self):
         chain = trial(frame("memcpy", "/usr/lib/libc.so.6"))
         self.assertEqual(lp.charge(chain), (None, None))

@@ -1,13 +1,17 @@
 // Network-level tests: route construction on arbitrary graphs (checked
 // pair by pair against a per-host BFS reference, tests/route_reference.h),
-// route overrides, multi-path ECMP sets, priority-class isolation, and
-// aggregate counters.
+// the shared route plan (one per wiring, copied on override), route
+// overrides, multi-path ECMP sets, link lookup, priority-class isolation,
+// and aggregate counters.
 #include "net/network.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <latch>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -288,6 +292,171 @@ TEST(Network, SetRoutesStampsOneSetOnAHostList) {
   EXPECT_EQ(sw->route_group_count(), 2u);
   EXPECT_EQ(sw->RouteTo(3), wide);
   EXPECT_EQ(sw->RouteTo(12), (std::vector<int>{2}));
+}
+
+// Networks of one wiring share one route plan: every switch reads the same
+// tables in place. An override copies the overriding switch's table first,
+// so the other network keeps its routes and its group count, and a network
+// built afterwards still gets the plan's routes.
+TEST(Network, SameWiringSharesRoutesAndOverridesStayLocal) {
+  Network a(1);
+  Network b(2);
+  const ClosTopology ta = BuildClos(a, 5, TopologyOptions{});
+  const ClosTopology tb = BuildClos(b, 5, TopologyOptions{});
+  for (size_t s = 0; s < a.switches().size(); ++s) {
+    for (const auto& h : a.hosts()) {
+      EXPECT_EQ(&a.switches()[s]->RouteTo(h->id()),
+                &b.switches()[s]->RouteTo(h->id()))
+          << "switch " << s << " -> host " << h->id();
+    }
+  }
+  const int far = ta.host(3, 0)->id();
+  const std::vector<int> up = tb.tors[0]->RouteTo(far);
+  ASSERT_EQ(up.size(), 2u);
+  const size_t groups = tb.tors[0]->route_group_count();
+
+  ta.tors[0]->SetRoute(far, {up.back()});
+  EXPECT_EQ(ta.tors[0]->RouteTo(far), (std::vector<int>{up.back()}));
+  EXPECT_EQ(ta.tors[0]->route_group_count(), groups + 1);
+  EXPECT_EQ(tb.tors[0]->RouteTo(far), up);
+  EXPECT_EQ(tb.tors[0]->route_group_count(), groups);
+  EXPECT_EQ(&ta.tors[1]->RouteTo(far), &tb.tors[1]->RouteTo(far));
+  const ReferenceTable want = ReferenceRoutes(b);
+  ExpectRoutesMatchReference(b, want);
+  ExpectRouteGroupsMatchReference(b, want);
+
+  Network c(3);
+  const ClosTopology tc = BuildClos(c, 5, TopologyOptions{});
+  EXPECT_EQ(tc.tors[0]->RouteTo(far), up);
+  EXPECT_EQ(&tc.tors[0]->RouteTo(far), &tb.tors[0]->RouteTo(far));
+}
+
+// The plan's key is the whole wiring: two networks with the same nodes and
+// port counts but one link on another port get different plans, each equal
+// to its own per-host BFS.
+TEST(Network, OneSwappedPortIsAnotherPlan) {
+  auto build = [](Network& net, int s1_port) {
+    SwitchConfig cfg;
+    auto* s1 = net.AddSwitch(3, cfg);
+    auto* s2 = net.AddSwitch(2, cfg);
+    auto* a = net.AddHost(NicConfig{});
+    auto* b = net.AddHost(NicConfig{});
+    net.Connect(a, 0, s1, 0, Gbps(40), Microseconds(1));
+    net.Connect(s1, s1_port, s2, 0, Gbps(40), Microseconds(1));
+    net.Connect(s2, 1, b, 0, Gbps(40), Microseconds(1));
+    net.BuildRoutes();
+    return b->id();
+  };
+  Network n1(1);
+  Network n2(1);
+  const int b = build(n1, 1);
+  ASSERT_EQ(build(n2, 2), b);
+  const SharedBufferSwitch& s1 = *n1.switches()[0];
+  const SharedBufferSwitch& s2 = *n2.switches()[0];
+  EXPECT_EQ(s1.RouteTo(b), (std::vector<int>{1}));
+  EXPECT_EQ(s2.RouteTo(b), (std::vector<int>{2}));
+  EXPECT_NE(&s1.RouteTo(b), &s2.RouteTo(b));
+  for (const Network* net : {&n1, &n2}) {
+    const ReferenceTable want = ReferenceRoutes(*net);
+    EXPECT_EQ(ExpectRoutesMatchReference(*net, want), 4);
+    ExpectRouteGroupsMatchReference(*net, want);
+  }
+}
+
+// The intern table holds plans weakly plus the most recently built one:
+// after a run of distinct wirings, the plans alive are the ones live
+// networks use and at most one more.
+TEST(Network, AtMostOneRoutePlanOutlivesItsNetworks) {
+  Network keep(1);
+  BuildStar(keep, 9, TopologyOptions{});  // a shape the loop never builds
+  for (int hosts = 2; hosts <= 6; ++hosts) {
+    Network net(1);
+    BuildStar(net, hosts, TopologyOptions{});
+  }
+  EXPECT_EQ(LiveRoutePlanCount(), 2u);  // keep's, and the 6-host star's
+  {
+    Network net(1);
+    BuildStar(net, 8, TopologyOptions{});
+    EXPECT_EQ(LiveRoutePlanCount(), 2u);  // the 6-host star's is gone
+  }
+  EXPECT_EQ(LiveRoutePlanCount(), 2u);
+}
+
+// Four threads build one new wiring at once: all four get one plan, equal
+// to the per-host BFS.
+TEST(Network, ConcurrentBuildsOfOneWiringShareOnePlan) {
+  const ClosShape shape{.pods = 3,
+                        .tors_per_pod = 3,
+                        .leaves_per_pod = 2,
+                        .spines = 3,
+                        .hosts_per_tor = 3};
+  constexpr int kThreads = 4;
+  std::vector<std::unique_ptr<Network>> nets;
+  for (int i = 0; i < kThreads; ++i) {
+    nets.push_back(std::make_unique<Network>(static_cast<uint64_t>(i + 1)));
+  }
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      start.arrive_and_wait();
+      BuildClos(*nets[static_cast<size_t>(i)], shape, TopologyOptions{});
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const Network& first = *nets[0];
+  for (int i = 1; i < kThreads; ++i) {
+    const Network& other = *nets[static_cast<size_t>(i)];
+    for (size_t s = 0; s < first.switches().size(); ++s) {
+      for (const auto& h : first.hosts()) {
+        EXPECT_EQ(&other.switches()[s]->RouteTo(h->id()),
+                  &first.switches()[s]->RouteTo(h->id()));
+      }
+    }
+  }
+  const ReferenceTable want = ReferenceRoutes(first);
+  ExpectRoutesMatchReference(first, want);
+  ExpectRouteGroupsMatchReference(first, want);
+}
+
+// FindLink walks the first node's wired ports: either argument order finds
+// the link (the first one wired when there are several), and a pair with no
+// link, or an id that names no node, finds nothing.
+TEST(Network, FindLinkByEndpoints) {
+  Network net(1);
+  SwitchConfig cfg;
+  auto* s1 = net.AddSwitch(3, cfg);
+  auto* s2 = net.AddSwitch(3, cfg);
+  auto* a = net.AddHost(NicConfig{});
+  Link* host_link = net.Connect(a, 0, s1, 0, Gbps(40), Microseconds(1));
+  Link* first = net.Connect(s1, 1, s2, 0, Gbps(40), Microseconds(1));
+  Link* second = net.Connect(s2, 1, s1, 2, Gbps(40), Microseconds(1));
+  ASSERT_NE(first, second);
+  EXPECT_EQ(net.FindLink(a->id(), s1->id()), host_link);
+  EXPECT_EQ(net.FindLink(s1->id(), a->id()), host_link);
+  EXPECT_EQ(net.FindLink(s1->id(), s2->id()), first);
+  EXPECT_EQ(net.FindLink(s2->id(), s1->id()), first);
+  EXPECT_EQ(net.FindLink(a->id(), s2->id()), nullptr);
+  EXPECT_EQ(net.FindLink(s2->id(), a->id()), nullptr);
+  EXPECT_EQ(net.FindLink(-1, s1->id()), nullptr);
+  EXPECT_EQ(net.FindLink(s1->id(), 99), nullptr);
+  EXPECT_EQ(net.FindLink(99, s1->id()), nullptr);
+
+  // A host and its ToR on the 512-host Clos, from either end.
+  Network big(1);
+  const ClosTopology t = BuildClos(big,
+                                   ClosShape{.pods = 8,
+                                             .tors_per_pod = 4,
+                                             .leaves_per_pod = 4,
+                                             .spines = 8,
+                                             .hosts_per_tor = 16},
+                                   TopologyOptions{});
+  const RdmaNic* h = t.hosts_by_tor[31][15];
+  const int tor = t.tors[31]->id();
+  EXPECT_EQ(big.FindLink(h->id(), tor), h->link(0));
+  EXPECT_EQ(big.FindLink(tor, h->id()), h->link(0));
+  EXPECT_EQ(big.FindLink(h->id(), t.tors[0]->id()), nullptr);
+  EXPECT_EQ(big.FindLink(h->id(), t.hosts_by_tor[31][14]->id()), nullptr);
 }
 
 TEST(Network, HostLookupById) {

@@ -152,7 +152,8 @@ TEST(Clos, NoRoutingLoops) {
 // Every ext_scale Clos shape, 20 to 512 hosts, plus the 2-hosts-per-ToR
 // testbed of the Fig. 3/20 parking-lot benches: each (switch, host) pair's
 // equal-cost set equals a per-host BFS's, and each switch interns exactly
-// its distinct sets — a handful, not one per host.
+// its distinct sets — a handful, not one per host — on a fresh route plan
+// and on a cached one alike.
 TEST(Clos, EveryScaleCaseRoutesMatchPerHostBfs) {
   std::vector<std::pair<std::string, ClosShape>> shapes = {
       {"parking_lot_4tor_8h", ClosShape{.hosts_per_tor = 2}}};
@@ -175,6 +176,16 @@ TEST(Clos, EveryScaleCaseRoutesMatchPerHostBfs) {
     // A ToR: one set per local host port plus the shared uplink set.
     EXPECT_EQ(t.tors[0]->route_group_count(),
               static_cast<size_t>(shape.hosts_per_tor) + 1);
+    // A second network of the shape is a plan-cache hit: it reads the
+    // first one's tables and passes the same checks.
+    Network again(2);
+    BuildClos(again, shape, TopologyOptions{});
+    const int last_host = net.hosts().back()->id();
+    EXPECT_EQ(&again.switches()[0]->RouteTo(last_host),
+              &net.switches()[0]->RouteTo(last_host));
+    EXPECT_EQ(ExpectRoutesMatchReference(again, want),
+              static_cast<int>(again.switches().size()) * hosts);
+    ExpectRouteGroupsMatchReference(again, want);
   }
 }
 

@@ -55,6 +55,7 @@ MODULES = {
     "telemetry/": "telemetry",
     "common/rng": "RNG",
     "net/network": "setup",
+    "net/route_plan": "setup",
     "net/topology": "setup",
     "net/shard": "shard",
     "fault/": "fault",
