@@ -8,12 +8,47 @@
 #include "host/host_config.h"
 #include "hybrid/engine.h"
 #include "net/shard.h"
+#include "telemetry/metric_registry.h"
 #include "workload/sim_host.h"
 #include "workload/verbs_host.h"
 #include "workload/workload.h"
 
 namespace dcqcn {
 namespace bench {
+
+BenchCli ParseBenchCli(int argc, char** argv, unsigned honored,
+                       const std::vector<std::string>& switches,
+                       const std::vector<std::string>& options) {
+  BenchCli b;
+  std::vector<char*> rest = {argv[0]};
+  auto is = [](const std::vector<std::string>& set, const std::string& a) {
+    return std::find(set.begin(), set.end(), a) != set.end();
+  };
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const size_t eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    if (is(switches, arg)) {
+      b.own[arg];
+    } else if (is(options, name)) {
+      if (eq == std::string::npos && i + 1 >= argc) {
+        b.cli.ok = false;
+        b.cli.error = name + " requires a value";
+        break;
+      }
+      b.own[name].push_back(eq != std::string::npos ? arg.substr(eq + 1)
+                                                    : argv[++i]);
+    } else {
+      rest.push_back(argv[i]);
+    }
+  }
+  if (b.cli.ok) {
+    b.cli = runner::ParseCli(static_cast<int>(rest.size()), rest.data(),
+                             honored);
+  }
+  if (!b.cli.ok) std::fprintf(stderr, "%s\n", b.cli.error.c_str());
+  return b;
+}
 
 std::vector<ScaleCase> ScaleCases(bool smoke) {
   const Time unit = smoke ? Microseconds(100) : Milliseconds(1);
@@ -31,10 +66,7 @@ std::vector<ScaleCase> ScaleCases(bool smoke) {
                              .spines = 8, .hosts_per_tor = 16},
                    4, unit});
   // 32 ToRs / 512 hosts / 1024 flows — the headline scale target.
-  cases.push_back({"xlarge_32tor_512h",
-                   ClosShape{.pods = 8, .tors_per_pod = 4, .leaves_per_pod = 4,
-                             .spines = 8, .hosts_per_tor = 16},
-                   2, unit});
+  cases.push_back({"xlarge_32tor_512h", kXlargeShape, 2, unit});
   return cases;
 }
 
@@ -109,9 +141,9 @@ runner::TrialSpec ScaleTrial(const ScaleCase& c,
     std::optional<workload::SimWorkloadHost> whost;
     std::unique_ptr<workload::VerbsWorkloadHost> vhost;
     if (use_pattern) {
-      // Structured workload instead of the built-in greedy mix: driven
-      // exactly like ext_workload (pattern randomness on its own stream,
-      // host-path emission when the device model is attached).
+      // Structured workload instead of the built-in greedy mix: pattern
+      // randomness on its own stream, host-path emission when the device
+      // model is attached.
       pattern = workload::CreateWorkloadPattern(
           wspec, runner::DeriveTrialSeed(ctx.seed, 0x3a11), size_scale);
       whost.emplace(net, hosts, cc);
@@ -200,9 +232,39 @@ runner::TrialSpec ScaleTrial(const ScaleCase& c,
     r.counters["cnps"] = net.TotalCnpsSent();
     r.counters["drops"] = net.TotalDrops();
     r.counters["pause_frames"] = net.TotalPauseFramesSent();
+    double goodput_gbps =
+        8.0 * static_cast<double>(delivered) / ToSeconds(c.duration) / 1e9;
     if (use_pattern) {
-      workload::FillTrialResult(
-          host_cfg.enabled ? vhost->metrics() : whost->metrics(), &r);
+      const workload::WorkloadMetrics& m =
+          host_cfg.enabled ? vhost->metrics() : whost->metrics();
+      workload::FillTrialResult(m, &r);
+      telemetry::MetricRegistry reg;
+      workload::ExportMetrics(m, &reg);
+      r.registry = reg.Snapshot();
+      // Pattern flows are finite: goodput is completed-transfer bytes
+      // (application goodput, what a host-path cliff collapses).
+      double completed_bytes = 0;
+      for (const RdmaNic* h : hosts) {
+        for (const FlowRecord& rec : h->completed_flows()) {
+          completed_bytes += static_cast<double>(rec.bytes);
+        }
+      }
+      goodput_gbps = completed_bytes * 8.0 / ToMicroseconds(c.duration) / 1e3;
+    }
+    if (host_cfg.enabled) {
+      const workload::HostPathTally t = workload::TallyHostPath(hosts);
+      r.counters["host_wr_posted"] = t.wr_posted;
+      r.counters["host_wr_launched"] = t.wr_launched;
+      r.counters["host_wr_completed"] = t.wr_completed;
+      r.counters["host_wr_retired"] = t.wr_retired;
+      r.counters["host_doorbells"] = t.doorbells;
+      r.counters["host_sq_stalls"] = t.sq_stalls;
+      r.counters["host_qp_hits"] = t.qp_hits;
+      r.counters["host_qp_misses"] = t.qp_misses;
+      r.counters["host_qp_lookups"] = t.qp_lookups();
+      r.counters["host_mr_hits"] = t.mr_hits;
+      r.counters["host_mr_misses"] = t.mr_misses;
+      r.metrics["qp_miss_pct"] = t.qp_miss_pct();
     }
     if (inj.has_value()) {
       r.counters["faults_started"] = inj->faults_started();
@@ -228,11 +290,40 @@ runner::TrialSpec ScaleTrial(const ScaleCase& c,
       r.metrics["hybrid_ff_ms"] = ToMilliseconds(hs.ff_time);
     }
     r.metrics["sim_ms"] = ToSeconds(c.duration) * 1e3;
-    r.metrics["agg_goodput_gbps"] =
-        8.0 * static_cast<double>(delivered) / ToSeconds(c.duration) / 1e9;
+    r.metrics["agg_goodput_gbps"] = goodput_gbps;
     return r;
   };
   return spec;
+}
+
+bool RunScaleSweep(const std::vector<ScaleCase>& cases,
+                   const std::vector<ScaleTrialOptions>& opts,
+                   const runner::CliOptions& cli,
+                   std::vector<runner::TrialResult>* results) {
+  DCQCN_CHECK(cases.size() == opts.size());
+  std::vector<runner::TrialSpec> matrix;
+  matrix.reserve(cases.size());
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const std::string& wl = opts[i].workload;
+    if (!wl.empty()) {
+      const std::string err = workload::WorkloadSpecError(
+          workload::ParseWorkloadSpec(wl), cases[i].shape.num_hosts());
+      if (!err.empty()) {
+        std::fprintf(stderr, "bad --workload '%s' on %s (%d hosts): %s\n",
+                     wl.c_str(), cases[i].name.c_str(),
+                     cases[i].shape.num_hosts(), err.c_str());
+        return false;
+      }
+    }
+    matrix.push_back(ScaleTrial(cases[i], opts[i]));
+  }
+  runner::RunnerOptions opt;
+  opt.jobs = cli.jobs;
+  opt.base_seed = cli.seed;
+  opt.shards = cli.shards;
+  opt.hybrid = cli.hybrid;
+  *results = runner::RunTrials(matrix, opt);
+  return true;
 }
 
 void StartGreedyFlow(Network& net, RdmaNic* src, RdmaNic* dst, int flow_id,

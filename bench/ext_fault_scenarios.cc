@@ -22,13 +22,17 @@
 // where a PAUSE is a lease, not a latch.
 //
 // Every scenario x mode cell is an independent trial on the parallel
-// experiment runner: `--jobs N`, `--seed S`, `--json/--csv PATH` per README.
+// experiment runner: `--jobs N`, `--seed S`, `--json/--csv PATH` per README,
+// `--cc=POLICY` (swap the managed arm), `--trace=PREFIX` (one Chrome trace
+// per cell). Any other runner flag exits 2: every cell fixes its own
+// traffic and runs on the plain packet engine.
 #include <algorithm>
 #include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bench/common.h"
 #include "cc/scenarios.h"
 #include "fault/fault_injector.h"
 #include "fault/pause_storm_detector.h"
@@ -225,11 +229,10 @@ runner::TrialSpec VictimTrial(const Scenario& sc, int16_t cc,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const runner::CliOptions cli = runner::ParseCli(argc, argv);
-  if (!cli.ok) {
-    std::fprintf(stderr, "%s\n", cli.error.c_str());
-    return 2;
-  }
+  const bench::BenchCli args = bench::ParseBenchCli(
+      argc, argv, runner::kCliSweep | runner::kCliCc | runner::kCliTrace);
+  if (!args.cli.ok) return 2;
+  const runner::CliOptions& cli = args.cli;
 
   const std::vector<Scenario> scenarios = BuildScenarios();
   std::vector<runner::TrialSpec> matrix;

@@ -17,200 +17,68 @@
 // model, reproduced deterministically: no RNG in the device, so
 // `--jobs 1` and `--jobs 8` emit byte-identical --json/--csv (CI checks).
 //
+// Each (fanout, cache) cell is one case of the Clos sweep trial
+// (bench::ScaleTrial) with its own workload and host profile.
+//
 // Flags: `--smoke` (10x shorter window, for CI), `--cc=POLICY` (sweep under
 // another congestion control), `--host=SPEC` (replace the cache axis with
-// one profile), `--workload=SPEC` (replace qpchurn), plus the standard
-// `--jobs/--seed/--json/--csv`. The device's microbench rows
-// (BM_HostDoorbell, BM_QpCacheChurn) are gated in BENCH_MICRO.json.
+// one profile), `--workload=SPEC` (replace qpchurn), `--shards=N` (the
+// sharded engine; bytes identical for every N), plus
+// `--jobs/--seed/--json/--csv`. Any other runner flag exits 2 — --hybrid
+// too: the matrix runs the host path, which the fast path does not model.
+// The device's microbench rows (BM_HostDoorbell, BM_QpCacheChurn) are gated
+// in BENCH_MICRO.json.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
-#include "host/host_config.h"
-#include "host/host_device.h"
-#include "runner/runner.h"
-#include "telemetry/collect.h"
-#include "telemetry/metric_registry.h"
-#include "workload/sim_host.h"
-#include "workload/verbs_host.h"
-#include "workload/workload.h"
 
 using namespace dcqcn;
 
-namespace {
+int main(int argc, char** argv) {
+  const bench::BenchCli args = bench::ParseBenchCli(
+      argc, argv,
+      runner::kCliSweep | runner::kCliCc | runner::kCliWorkload |
+          runner::kCliHost | runner::kCliShards,
+      {"--smoke"});
+  if (!args.cli.ok) return 2;
+  const runner::CliOptions& cli = args.cli;
+  const bool smoke = args.Has("--smoke");
 
-struct HostPathCase {
-  std::string name;
-  std::string workload;  // --workload spec text
-  std::string host;      // --host spec text; empty = wire-only
-};
-
-// fanout x cache matrix. fanout is the per-host ACTIVE QP count; the cliff
-// is the cache8 column crossing its capacity between fanout 8 and 16.
-std::vector<HostPathCase> DefaultCases(const std::string& wl_override,
-                                       const std::string& host_override) {
-  const std::vector<int> fanouts = {4, 8, 16, 32};
+  // fanout x cache matrix. fanout is the per-host ACTIVE QP count; the
+  // cliff is the cache8 column crossing its capacity between fanout 8 and
+  // 16. --host replaces the cache axis, --workload replaces qpchurn.
   struct Axis {
     const char* label;
-    const char* spec;
+    const char* spec;  // --host spec text; empty = wire-only
   };
-  const std::vector<Axis> caches = {
+  std::vector<Axis> caches = {
       {"wire", ""},
       {"cache64", "default"},
       {"cache8", "tiny-cache"},
   };
-  std::vector<HostPathCase> cases;
-  for (int f : fanouts) {
-    const std::string wl =
-        !wl_override.empty() ? wl_override
-                             : "qpchurn:fanout=" + std::to_string(f) + ",kb=4";
-    if (!host_override.empty()) {
-      cases.push_back({"fan" + std::to_string(f) + "_custom", wl,
-                       host_override});
-      continue;
-    }
-    for (const Axis& c : caches) {
-      cases.push_back(
-          {"fan" + std::to_string(f) + "_" + c.label, wl, c.spec});
-    }
-  }
-  return cases;
-}
-
-runner::TrialSpec HostPathTrial(const HostPathCase& c, Time duration,
-                                int16_t cc) {
-  runner::TrialSpec spec;
-  spec.name = c.name;
-  const workload::WorkloadSpec wspec = workload::ParseWorkloadSpec(c.workload);
-  DCQCN_CHECK(wspec.ok);
-  host::HostPathConfig host_cfg;
-  if (!c.host.empty()) {
-    host_cfg = host::MakeHostPathConfig(host::ParseHostSpec(c.host));
-  }
-  spec.run = [c, wspec, host_cfg, duration,
-              cc](const runner::TrialContext& ctx) {
-    Network net(ctx.seed);
-    const ClosShape shape{.pods = 8, .tors_per_pod = 4, .leaves_per_pod = 4,
-                          .spines = 8, .hosts_per_tor = 16};
-    TopologyOptions topt = bench::CcTopo(cc);
-    topt.nic_config.host_path = host_cfg;
-    const ClosTopology topo = BuildClos(net, shape, topt);
-    const std::vector<RdmaNic*> hosts = topo.AllHosts();
-
-    std::unique_ptr<workload::WorkloadPattern> pattern =
-        workload::CreateWorkloadPattern(
-            wspec, runner::DeriveTrialSeed(ctx.seed, 0x3a11));
-    workload::SimWorkloadHost whost(net, hosts, cc);
-    std::unique_ptr<workload::VerbsWorkloadHost> vhost;
-    if (host_cfg.enabled) {
-      vhost = std::make_unique<workload::VerbsWorkloadHost>(net, hosts,
-                                                            cc);
-      vhost->Begin(*pattern);
-    } else {
-      whost.Begin(*pattern);
-    }
-    const uint64_t events = net.eq().RunUntil(duration);
-    const workload::WorkloadMetrics& m =
-        host_cfg.enabled ? vhost->metrics() : whost.metrics();
-
-    runner::TrialResult r;
-    r.name = c.name;
-    workload::FillTrialResult(m, &r);
-    r.counters["events"] = static_cast<int64_t>(events);
-    r.counters["hosts"] = static_cast<int64_t>(hosts.size());
-    r.counters["pause_frames"] = net.TotalPauseFramesSent();
-    r.counters["drops"] = net.TotalDrops();
-    r.metrics["sim_ms"] = ToMilliseconds(duration);
-    // The headline column: application goodput summed over all hosts
-    // (completed message bytes over the window) — what the cache cliff
-    // collapses.
-    double completed_bytes = 0;
-    for (RdmaNic* h : hosts) {
-      for (const FlowRecord& rec : h->completed_flows()) {
-        completed_bytes += static_cast<double>(rec.bytes);
-      }
-    }
-    r.metrics["agg_goodput_gbps"] =
-        completed_bytes * 8.0 / ToMicroseconds(duration) / 1e3;
-
-    telemetry::MetricRegistry reg;
-    workload::ExportMetrics(m, &reg);
-    if (host_cfg.enabled) {
-      int64_t posted = 0, launched = 0, completed = 0, retired = 0;
-      int64_t doorbells = 0, stalls = 0;
-      int64_t qp_hits = 0, qp_miss = 0, mr_hits = 0, mr_miss = 0;
-      for (RdmaNic* h : hosts) {
-        const host::HostPathDevice* d = h->host_path();
-        posted += d->stats().wr_posted;
-        launched += d->stats().wr_launched;
-        completed += d->stats().wr_completed;
-        retired += d->stats().wr_retired;
-        doorbells += d->stats().doorbells;
-        stalls += d->stats().sq_stalls;
-        qp_hits += d->qp_cache().hits();
-        qp_miss += d->qp_cache().misses();
-        mr_hits += d->mr_cache().hits();
-        mr_miss += d->mr_cache().misses();
-      }
-      r.counters["host_wr_posted"] = posted;
-      r.counters["host_wr_launched"] = launched;
-      r.counters["host_wr_completed"] = completed;
-      r.counters["host_wr_retired"] = retired;
-      r.counters["host_doorbells"] = doorbells;
-      r.counters["host_sq_stalls"] = stalls;
-      r.counters["host_qp_hits"] = qp_hits;
-      r.counters["host_qp_misses"] = qp_miss;
-      r.counters["host_mr_hits"] = mr_hits;
-      r.counters["host_mr_misses"] = mr_miss;
-      const int64_t qp_look = qp_hits + qp_miss;
-      r.metrics["qp_miss_pct"] =
-          qp_look > 0 ? 100.0 * static_cast<double>(qp_miss) /
-                            static_cast<double>(qp_look)
-                      : 0.0;
-    }
-    r.registry = reg.Snapshot();
-    return r;
-  };
-  return spec;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  // ParseCli rejects flags it does not know, so peel off --smoke first.
-  bool smoke = false;
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      args.push_back(argv[i]);
+  if (!cli.host.empty()) caches = {{"custom", cli.host.c_str()}};
+  std::vector<bench::ScaleCase> cases;
+  std::vector<bench::ScaleTrialOptions> opts;
+  for (const int f : {4, 8, 16, 32}) {
+    for (const Axis& a : caches) {
+      bench::ScaleCase c;
+      c.name = "fan" + std::to_string(f) + "_" + a.label;
+      c.shape = bench::kXlargeShape;
+      c.duration = smoke ? Microseconds(200) : Milliseconds(2);
+      cases.push_back(c);
+      bench::ScaleTrialOptions o;
+      o.cc = runner::ResolveCc(cli.cc, CcPolicyIdByName("dcqcn"));
+      o.workload = !cli.workload.empty()
+                       ? cli.workload
+                       : "qpchurn:fanout=" + std::to_string(f) + ",kb=4";
+      o.host = a.spec;
+      opts.push_back(o);
     }
   }
-  const runner::CliOptions cli =
-      runner::ParseCli(static_cast<int>(args.size()), args.data());
-  if (!cli.ok) {
-    std::fprintf(stderr, "%s\n", cli.error.c_str());
-    return 2;
-  }
-
-  const std::vector<HostPathCase> cases =
-      DefaultCases(cli.workload, cli.host);
-  const Time duration = smoke ? Microseconds(200) : Milliseconds(2);
-  const int16_t cc = runner::ResolveCc(cli.cc, CcPolicyIdByName("dcqcn"));
-  std::vector<runner::TrialSpec> matrix;
-  matrix.reserve(cases.size());
-  for (const HostPathCase& c : cases) {
-    matrix.push_back(HostPathTrial(c, duration, cc));
-  }
-
-  runner::RunnerOptions opt;
-  opt.jobs = cli.jobs;
-  opt.base_seed = cli.seed;
-  const std::vector<runner::TrialResult> results =
-      runner::RunTrials(matrix, opt);
+  std::vector<runner::TrialResult> results;
+  if (!bench::RunScaleSweep(cases, opts, cli, &results)) return 2;
 
   std::printf("Extension: host-path QP-cache cliff, qpchurn on the "
               "32-ToR/512-host Clos (jobs=%d%s%s%s)\n\n",

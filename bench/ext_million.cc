@@ -19,15 +19,15 @@
 // CI gates on it (wall-clock speedup is printed to stdout only).
 //
 // Flags: `--smoke` (100x fewer flows, for CI), `--packet` (disable the
-// default --hybrid), `--hybrid[:k=v,...]` (override the hybrid spec), plus
-// the standard `--jobs/--seed/--json/--csv` and `--cc=POLICY`.
+// default --hybrid), `--hybrid[:k=v,...]` (override the hybrid spec),
+// `--cc=POLICY`, plus `--jobs/--seed/--json/--csv`. Any other runner flag
+// exits 2: the sweep fixes its own workload, runs wire-only, and the hybrid
+// engine does not shard.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
-#include "runner/runner.h"
 #include "workload/distributions.h"
 
 using namespace dcqcn;
@@ -44,33 +44,16 @@ constexpr const char* kCdf = "storage-backend";
 // bounded regardless of how many flows the sweep completes.
 constexpr int64_t kFctReservoir = 1 << 16;
 
-ClosShape MillionShape() {
-  return ClosShape{.pods = 8, .tors_per_pod = 4, .leaves_per_pod = 4,
-                   .spines = 8, .hosts_per_tor = 16};
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // ParseCli rejects flags it does not know, so peel --smoke/--packet first.
-  bool smoke = false;
-  bool packet = false;
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--packet") == 0) {
-      packet = true;
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  runner::CliOptions cli =
-      runner::ParseCli(static_cast<int>(args.size()), args.data());
-  if (!cli.ok) {
-    std::fprintf(stderr, "%s\n", cli.error.c_str());
-    return 2;
-  }
+  bench::BenchCli args = bench::ParseBenchCli(
+      argc, argv, runner::kCliSweep | runner::kCliCc | runner::kCliHybrid,
+      {"--smoke", "--packet"});
+  if (!args.cli.ok) return 2;
+  runner::CliOptions& cli = args.cli;
+  const bool smoke = args.Has("--smoke");
+  const bool packet = args.Has("--packet");
   if (packet) {
     cli.hybrid.clear();
   } else if (cli.hybrid.empty()) {
@@ -79,8 +62,7 @@ int main(int argc, char** argv) {
     cli.hybrid = "release=1,check=5";
   }
 
-  const ClosShape shape = MillionShape();
-  const int hosts = shape.num_hosts();
+  const int hosts = bench::kXlargeShape.num_hosts();
   const Rate offered = Gbps(40) * hosts * kLoadFraction;
   // Arrival rate implied by the load and the (scaled) mean flow size; the
   // MeanApprox draw is fixed-seed, so durations — and with them every
@@ -104,14 +86,12 @@ int main(int argc, char** argv) {
   for (const SweepPoint& p : points) {
     bench::ScaleCase c;
     c.name = p.name;
-    c.shape = shape;
+    c.shape = bench::kXlargeShape;
     c.duration = static_cast<Time>(p.total_flows / flows_per_sec * 1e12);
     cases.push_back(c);
   }
 
   std::vector<double> wall_seconds(cases.size(), 0.0);
-  std::vector<runner::TrialSpec> matrix;
-  matrix.reserve(cases.size());
   bench::ScaleTrialOptions topt;
   topt.cc = runner::ResolveCc(cli.cc, CcPolicyIdByName("dcqcn"));
   char wl[128];
@@ -122,16 +102,12 @@ int main(int argc, char** argv) {
   topt.fct_reservoir = kFctReservoir;
   topt.retain_flow_records = false;
   topt.wall_seconds = &wall_seconds;
-  for (const bench::ScaleCase& c : cases) {
-    matrix.push_back(bench::ScaleTrial(c, topt));
+  std::vector<runner::TrialResult> results;
+  if (!bench::RunScaleSweep(
+          cases, std::vector<bench::ScaleTrialOptions>(cases.size(), topt),
+          cli, &results)) {
+    return 2;
   }
-
-  runner::RunnerOptions opt;
-  opt.jobs = cli.jobs;
-  opt.base_seed = cli.seed;
-  opt.hybrid = cli.hybrid;
-  const std::vector<runner::TrialResult> results =
-      runner::RunTrials(matrix, opt);
 
   std::printf("Extension: million-flow Poisson sweep, 512-host Clos, "
               "%.2g%% load (%s%s)\n\n", kLoadFraction * 100,

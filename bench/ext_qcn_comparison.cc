@@ -11,7 +11,8 @@
 //      DCQCN's IP-routable CNPs keep the fabric quiet.
 //
 // `--cc=POLICY` swaps the QCN arm for any registered CcPolicy; the default
-// output is byte-identical to the pre-flag harness.
+// output is byte-identical to the pre-flag harness. It is the only flag:
+// the two scenarios run inline, not on the runner, so any other exits 2.
 #include <cstdio>
 #include <string>
 
@@ -64,11 +65,9 @@ void ClosIncast(int16_t cc, const char* label) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const runner::CliOptions cli = runner::ParseCli(argc, argv);
-  if (!cli.ok) {
-    std::fprintf(stderr, "%s\n", cli.error.c_str());
-    return 2;
-  }
+  const bench::BenchCli args = bench::ParseBenchCli(argc, argv, runner::kCliCc);
+  if (!args.cli.ok) return 2;
+  const runner::CliOptions& cli = args.cli;
   const int16_t champion = CcPolicyIdByName("dcqcn");
   const int16_t challenger = runner::ResolveCc(cli.cc, CcPolicyIdByName("qcn"));
   const std::string label = cli.cc.empty() ? "QCN" : cli.cc;

@@ -17,57 +17,41 @@
 // JSON/CSV bytes are identical for every N >= 1, which CI enforces with a
 // {1,2,4,8} sweep + cmp), `--workload=NAME[:k=v,...]` / `--host=PROFILE`
 // (compose a structured pattern / the host-path device model onto the
-// sweep), plus the standard runner flags `--jobs/--seed/--json/--csv` and
-// `--cc=POLICY` (run the whole sweep under another registered congestion
-// control).
+// sweep; a pattern that does not fit a shape's host count exits 2),
+// `--hybrid[:k=v,...]` (the flow-level fast path), `--cc=POLICY` (run the
+// whole sweep under another registered congestion control), plus
+// `--jobs/--seed/--json/--csv`. Any other runner flag exits 2.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
-#include "runner/runner.h"
 
 using namespace dcqcn;
 
 int main(int argc, char** argv) {
-  // ParseCli rejects flags it does not know, so peel off --smoke first.
-  bool smoke = false;
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  const runner::CliOptions cli =
-      runner::ParseCli(static_cast<int>(args.size()), args.data());
-  if (!cli.ok) {
-    std::fprintf(stderr, "%s\n", cli.error.c_str());
-    return 2;
-  }
+  const bench::BenchCli args = bench::ParseBenchCli(
+      argc, argv,
+      runner::kCliSweep | runner::kCliCc | runner::kCliWorkload |
+          runner::kCliHost | runner::kCliShards | runner::kCliHybrid,
+      {"--smoke"});
+  if (!args.cli.ok) return 2;
+  const runner::CliOptions& cli = args.cli;
+  const bool smoke = args.Has("--smoke");
 
   const std::vector<bench::ScaleCase> cases = bench::ScaleCases(smoke);
   std::vector<double> wall_seconds(cases.size(), 0.0);
-  std::vector<runner::TrialSpec> matrix;
-  matrix.reserve(cases.size());
   bench::ScaleTrialOptions topt;
   topt.cc = runner::ResolveCc(cli.cc, CcPolicyIdByName("dcqcn"));
   topt.workload = cli.workload;
   topt.host = cli.host;
   topt.wall_seconds = &wall_seconds;
-  for (const bench::ScaleCase& c : cases) {
-    matrix.push_back(bench::ScaleTrial(c, topt));
+  std::vector<runner::TrialResult> results;
+  if (!bench::RunScaleSweep(
+          cases, std::vector<bench::ScaleTrialOptions>(cases.size(), topt),
+          cli, &results)) {
+    return 2;
   }
-
-  runner::RunnerOptions opt;
-  opt.jobs = cli.jobs;
-  opt.base_seed = cli.seed;
-  opt.shards = cli.shards;
-  opt.hybrid = cli.hybrid;
-  const std::vector<runner::TrialResult> results =
-      runner::RunTrials(matrix, opt);
 
   std::printf("Extension: simulator throughput on large Clos fabrics "
               "(jobs=%d%s%s%s)\n\n", cli.jobs, smoke ? ", smoke" : "",

@@ -9,11 +9,14 @@
 // and 50 us choices.
 //
 // Every probe is an independent trial on the parallel experiment runner:
-// `--jobs N` to parallelize, `--seed` / `--json` / `--csv` per README.
+// `--jobs N` to parallelize, `--seed` / `--json` / `--csv` per README. The
+// fluid model has no policy, traffic or engine axis: any other runner flag
+// exits 2.
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "bench/common.h"
 #include "fluid/stability.h"
 #include "runner/runner.h"
 
@@ -38,11 +41,10 @@ runner::TrialSpec StabilityTrial(std::string name, const FluidParams& params) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const runner::CliOptions cli = runner::ParseCli(argc, argv);
-  if (!cli.ok) {
-    std::fprintf(stderr, "%s\n", cli.error.c_str());
-    return 2;
-  }
+  const bench::BenchCli args =
+      bench::ParseBenchCli(argc, argv, runner::kCliSweep);
+  if (!args.cli.ok) return 2;
+  const runner::CliOptions& cli = args.cli;
 
   // Matrix: the (g, N) grid followed by the feedback-delay sweep.
   const double gdens[] = {4.0, 16.0, 64.0, 256.0, 1024.0};

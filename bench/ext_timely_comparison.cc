@@ -10,7 +10,8 @@
 //
 // `--cc=POLICY` swaps the challenger arm for any registered CcPolicy
 // (e.g. --cc=qcn pits DCQCN against QCN on the same scenarios); the
-// default output is byte-identical to the pre-flag harness.
+// default output is byte-identical to the pre-flag harness. It is the only
+// flag: the scenarios run inline, not on the runner, so any other exits 2.
 #include <cstdio>
 #include <string>
 
@@ -77,11 +78,9 @@ void ReversePathSensitivity(int16_t cc,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const runner::CliOptions cli = runner::ParseCli(argc, argv);
-  if (!cli.ok) {
-    std::fprintf(stderr, "%s\n", cli.error.c_str());
-    return 2;
-  }
+  const bench::BenchCli args = bench::ParseBenchCli(argc, argv, runner::kCliCc);
+  if (!args.cli.ok) return 2;
+  const runner::CliOptions& cli = args.cli;
   const int16_t champion = CcPolicyIdByName("dcqcn");
   const int16_t challenger =
       runner::ResolveCc(cli.cc, CcPolicyIdByName("timely"));

@@ -9,26 +9,26 @@
 // prefixed "<figure>/". Exit 1 when a claim fails or a known deviation
 // starts to hold (stderr names the figure, claim and measured value) or an
 // output cannot be written; exit 2 on a usage error, including the runner
-// axes no figure honors (each fixes its own policies, traffic and engine).
+// axes no figure honors (--cc --workload --host --shards --hybrid --trace:
+// each figure fixes its own policies, traffic and engine).
 #include <cstdio>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "bench/common.h"
 #include "bench/figures.h"
 
 using namespace dcqcn;
 using namespace dcqcn::bench;
 
 int main(int argc, char** argv) {
-  // ParseCli rejects flags it does not know, so peel --figure first.
+  const BenchCli args =
+      ParseBenchCli(argc, argv, runner::kCliSweep, {}, {"--figure"});
+  if (!args.cli.ok) return 2;
+  const runner::CliOptions& cli = args.cli;
   std::vector<const Figure*> selected;
-  std::vector<char*> args = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--figure=", 0) == 0 || arg == "--figure") {
-      const std::string name =
-          arg == "--figure" ? (i + 1 < argc ? argv[++i] : "") : arg.substr(9);
+  if (args.Has("--figure")) {
+    for (const std::string& name : args.own.at("--figure")) {
       selected.push_back(FindFigure(name));
       if (selected.back() == nullptr) {
         std::fprintf(stderr, "figures: unknown figure '%s'; figures:",
@@ -37,25 +37,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "\n");
         return 2;
       }
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  const runner::CliOptions cli =
-      runner::ParseCli(static_cast<int>(args.size()), args.data());
-  if (!cli.ok) {
-    std::fprintf(stderr, "%s\n", cli.error.c_str());
-    return 2;
-  }
-  const std::pair<bool, const char*> unsupported[] = {
-      {!cli.cc.empty(), "--cc"},         {!cli.workload.empty(), "--workload"},
-      {!cli.host.empty(), "--host"},     {cli.shards != 0, "--shards"},
-      {!cli.hybrid.empty(), "--hybrid"}, {!cli.trace_prefix.empty(), "--trace"}};
-  for (const auto& [given, flag] : unsupported) {
-    if (given) {
-      std::fprintf(stderr, "figures: %s is not supported: every figure fixes "
-                   "its own policies, traffic and engine\n", flag);
-      return 2;
     }
   }
   if (selected.empty()) {

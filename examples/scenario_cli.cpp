@@ -301,27 +301,14 @@ int main(int argc, char** argv) {
   PrintCdf("fct slowdown", m.slowdown);
   PrintCdf("iteration (us)", m.iteration_us);
   if (host_cfg.enabled) {
-    // Host-path totals across all NICs (per-node detail is in the host.*
-    // telemetry namespace).
-    int64_t posted = 0, doorbells = 0, stalls = 0, qp_miss = 0, qp_look = 0;
-    for (RdmaNic* h : hosts) {
-      const host::HostPathDevice* d = h->host_path();
-      posted += d->stats().wr_posted;
-      doorbells += d->stats().doorbells;
-      stalls += d->stats().sq_stalls;
-      qp_miss += d->qp_cache().misses();
-      qp_look += d->qp_cache().lookups();
-    }
+    const workload::HostPathTally t = workload::TallyHostPath(hosts);
     std::printf("host path: posted %lld, doorbells %lld, sq stalls %lld, "
                 "qp-cache miss %.1f%% (%lld/%lld)\n",
-                static_cast<long long>(posted),
-                static_cast<long long>(doorbells),
-                static_cast<long long>(stalls),
-                qp_look > 0 ? 100.0 * static_cast<double>(qp_miss) /
-                                  static_cast<double>(qp_look)
-                            : 0.0,
-                static_cast<long long>(qp_miss),
-                static_cast<long long>(qp_look));
+                static_cast<long long>(t.wr_posted),
+                static_cast<long long>(t.doorbells),
+                static_cast<long long>(t.sq_stalls), t.qp_miss_pct(),
+                static_cast<long long>(t.qp_misses),
+                static_cast<long long>(t.qp_lookups()));
   }
 
   int64_t marks = 0;

@@ -199,6 +199,36 @@ std::string RunScenarioTrace(const std::string& scenario, int16_t policy,
   return "";
 }
 
+GoldenStarRun RunGoldenStar(int16_t policy, uint64_t seed) {
+  Network net(seed);
+  TopologyOptions opt;
+  ApplyCcSwitchDefaults(policy, &opt.switch_config);
+  StarTopology topo = BuildStar(net, 3, opt);
+  for (int i = 0; i < 2; ++i) {
+    FlowSpec f;
+    f.flow_id = i;
+    f.src_host = topo.hosts[static_cast<size_t>(i)]->id();
+    f.dst_host = topo.hosts[2]->id();
+    f.size_bytes = 0;  // greedy
+    f.cc_policy = policy;
+    net.StartFlow(f);
+  }
+  net.RunFor(Milliseconds(2));
+
+  GoldenStarRun g;
+  g.sw = topo.sw->counters();
+  for (int i = 0; i < 2; ++i) {
+    g.delivered[i] = topo.hosts[2]->ReceiverDeliveredBytes(i);
+    const SenderQp* qp = topo.hosts[static_cast<size_t>(i)]->FindQp(i);
+    g.rate_bps[i] = qp->current_rate();
+    g.cnps[i] = qp->counters().cnps_received;
+    g.pkts_sent[i] = qp->counters().packets_sent;
+    g.cwnd[i] = qp->cwnd();
+    g.dctcp_alpha[i] = qp->dctcp_alpha();
+  }
+  return g;
+}
+
 uint64_t TraceFingerprint(const std::string& trace) {
   uint64_t h = 0xcbf29ce484222325ULL;
   for (const char c : trace) {

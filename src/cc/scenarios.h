@@ -45,6 +45,21 @@ void ApplyCcSwitchDefaults(TransportMode mode, SwitchConfig* cfg);
 std::string RunScenarioTrace(const std::string& scenario, int16_t policy,
                              uint64_t seed);
 
+// The golden 2-flow star: greedy flows 0 and 1 from hosts 0 and 1 into
+// host 2 of a 3-host star, both under `policy`, run for 2 ms at `seed`.
+// tests/golden_test.cc pins these readouts per policy at seed 42, and
+// bench/regen_cc_goldens prints them for re-pinning.
+struct GoldenStarRun {
+  SwitchCounters sw;
+  Bytes delivered[2];  // per flow, at host 2
+  Rate rate_bps[2];    // final rate-limiter setting
+  int64_t cnps[2];
+  int64_t pkts_sent[2];
+  Bytes cwnd[2];
+  double dctcp_alpha[2];
+};
+GoldenStarRun RunGoldenStar(int16_t policy, uint64_t seed);
+
 // FNV-1a 64-bit fingerprint of a trace (what the differential test pins;
 // the full trace is printed on mismatch for diffing).
 uint64_t TraceFingerprint(const std::string& trace);

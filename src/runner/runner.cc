@@ -167,23 +167,64 @@ std::string TracePathFor(const std::string& prefix, const std::string& name) {
   return prefix + "_" + file + ".json";
 }
 
-CliOptions ParseCli(int argc, char** argv) {
+namespace {
+
+// Every runner flag, in usage order, with its argument placeholder.
+struct CliFlagInfo {
+  unsigned bit;
+  const char* name;
+  const char* arg;
+};
+constexpr CliFlagInfo kCliFlagTable[] = {
+    {kCliJobs, "--jobs", " N"},
+    {kCliSeed, "--seed", " S"},
+    {kCliJson, "--json", " PATH"},
+    {kCliCsv, "--csv", " PATH"},
+    {kCliTrace, "--trace", " PREFIX"},
+    {kCliCc, "--cc", " POLICY"},
+    {kCliWorkload, "--workload", " NAME[:k=v,...]"},
+    {kCliHost, "--host", " PROFILE[:k=v,...]"},
+    {kCliShards, "--shards", " N"},
+    {kCliHybrid, "--hybrid", "[:k=v,...]"},
+};
+
+}  // namespace
+
+CliOptions ParseCli(int argc, char** argv, unsigned honored) {
   CliOptions cli;
-  auto fail = [&cli](const std::string& msg) {
+  std::string usage;
+  for (const CliFlagInfo& f : kCliFlagTable) {
+    if ((honored & f.bit) == 0) continue;
+    usage += (usage.empty() ? "" : " ") + std::string(f.name) + f.arg;
+  }
+  auto fail = [&cli, &usage](const std::string& msg) {
     cli.ok = false;
-    cli.error = msg +
-                " (flags: --jobs N --seed S --json PATH --csv PATH"
-                " --trace PREFIX --cc POLICY --workload NAME[:k=v,...]"
-                " --host PROFILE[:k=v,...] --shards N --hybrid[:k=v,...])";
+    cli.error = msg + " (flags: " + (usage.empty() ? "none" : usage) + ")";
     return cli;
   };
+  // The program name, for naming a flag this bench does not honor.
+  std::string prog = argc > 0 ? argv[0] : "bench";
+  prog = prog.substr(prog.find_last_of('/') + 1);
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
+    // A flag outside the bench's honored set is rejected by name, before
+    // its value is looked at.
+    const bool hybrid_spec = arg.rfind("--hybrid:", 0) == 0;
+    const std::string name =
+        hybrid_spec ? "--hybrid" : arg.substr(0, arg.find('='));
+    const CliFlagInfo* flag = nullptr;
+    for (const CliFlagInfo& f : kCliFlagTable) {
+      if (name == f.name) flag = &f;
+    }
+    if (flag == nullptr) return fail("unknown flag '" + name + "'");
+    if ((honored & flag->bit) == 0) {
+      return fail(name + " is not honored by " + prog);
+    }
     // --hybrid[:k=v,...]: the spec rides after a colon (and may itself
     // contain '='), so peel it before the generic '=' split. Bare --hybrid
     // never consumes the next argument.
-    if (arg == "--hybrid" || arg.rfind("--hybrid:", 0) == 0) {
+    if (arg == "--hybrid" || hybrid_spec) {
       const std::string spec =
           arg.size() > 9 ? arg.substr(9) : std::string("on");
       hybrid::HybridConfig parsed;

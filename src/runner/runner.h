@@ -122,7 +122,9 @@ std::vector<TrialResult> RunTrials(const std::vector<TrialSpec>& matrix,
 
 // ---------- bench-harness CLI ----------
 //
-// Shared flag parsing for the sweep benches:
+// Shared flag parsing for the benches. Each bench names the flags it
+// honors; any other runner flag is rejected by name, so no axis is dropped
+// silently:
 //   --jobs N      worker threads (default 1)
 //   --seed S      matrix base seed (default 1)
 //   --json PATH   write results as JSON (see serialize.h for the schema)
@@ -131,7 +133,7 @@ std::vector<TrialResult> RunTrials(const std::vector<TrialSpec>& matrix,
 //   --cc POLICY   congestion-control policy (a registered CcPolicy name);
 //                 rejected with the registered names listed if unknown.
 //                 Empty = the bench's default. Benches apply it with
-//                 CcFromCli (below).
+//                 ResolveCc (below).
 //   --workload SPEC  traffic pattern, `NAME[:key=val,...]` over the
 //                 WorkloadPattern registry (src/workload/workload.h);
 //                 rejected (WorkloadSpecError) when the name is unknown,
@@ -154,6 +156,23 @@ std::vector<TrialResult> RunTrials(const std::vector<TrialSpec>& matrix,
 // Both `--flag value` and `--flag=value` are accepted; --hybrid's spec rides
 // after a colon and never consumes the next argument. Benches print `error`
 // and exit 2 when !ok.
+//
+// The flags as a set, one bit each: what a bench hands ParseCli.
+enum CliFlag : unsigned {
+  kCliJobs = 1u << 0,
+  kCliSeed = 1u << 1,
+  kCliJson = 1u << 2,
+  kCliCsv = 1u << 3,
+  kCliTrace = 1u << 4,
+  kCliCc = 1u << 5,
+  kCliWorkload = 1u << 6,
+  kCliHost = 1u << 7,
+  kCliShards = 1u << 8,
+  kCliHybrid = 1u << 9,
+  // --jobs --seed --json --csv: what every bench on the runner honors.
+  kCliSweep = kCliJobs | kCliSeed | kCliJson | kCliCsv,
+  kCliAll = (1u << 10) - 1,
+};
 struct CliOptions {
   int jobs = 1;
   uint64_t seed = 1;
@@ -169,7 +188,10 @@ struct CliOptions {
   std::string error;  // set when !ok
 };
 
-CliOptions ParseCli(int argc, char** argv);
+// Parses argv[1..] honoring the flags in `honored` (a CliFlag set). A
+// runner flag outside the set fails with "<flag> is not honored by
+// <program>"; the usage suffix lists only the honored flags.
+CliOptions ParseCli(int argc, char** argv, unsigned honored);
 
 // What --cc resolves to for a bench whose flows default to
 // `default_policy`: the CcPolicy id to stamp into FlowSpec::cc_policy. An

@@ -101,5 +101,24 @@ void VerbsWorkloadHost::OnWireComplete(const FlowRecord& rec, uint64_t tag) {
   });
 }
 
+HostPathTally TallyHostPath(const std::vector<RdmaNic*>& nics) {
+  HostPathTally t;
+  for (const RdmaNic* nic : nics) {
+    const host::HostPathDevice* d = nic->host_path();
+    if (d == nullptr) continue;
+    t.wr_posted += d->stats().wr_posted;
+    t.wr_launched += d->stats().wr_launched;
+    t.wr_completed += d->stats().wr_completed;
+    t.wr_retired += d->stats().wr_retired;
+    t.doorbells += d->stats().doorbells;
+    t.sq_stalls += d->stats().sq_stalls;
+    t.qp_hits += d->qp_cache().hits();
+    t.qp_misses += d->qp_cache().misses();
+    t.mr_hits += d->mr_cache().hits();
+    t.mr_misses += d->mr_cache().misses();
+  }
+  return t;
+}
+
 }  // namespace workload
 }  // namespace dcqcn

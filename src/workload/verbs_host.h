@@ -26,6 +26,7 @@
 // pattern through this wrapper too.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -79,6 +80,32 @@ class VerbsWorkloadHost : public WorkloadHost {
   WorkloadPattern* pattern_ = nullptr;
   std::vector<int> flow_src_;  // flow id -> source host index
 };
+
+// Host-path device counters summed over a set of NICs (NICs without a
+// device are skipped): the one totals readout the Clos sweeps and
+// scenario_cli report. Per-node detail is in the host.* telemetry
+// namespace.
+struct HostPathTally {
+  int64_t wr_posted = 0;
+  int64_t wr_launched = 0;
+  int64_t wr_completed = 0;
+  int64_t wr_retired = 0;
+  int64_t doorbells = 0;
+  int64_t sq_stalls = 0;
+  int64_t qp_hits = 0;
+  int64_t qp_misses = 0;
+  int64_t mr_hits = 0;
+  int64_t mr_misses = 0;
+
+  int64_t qp_lookups() const { return qp_hits + qp_misses; }
+  // QP-context cache misses per lookup, in percent (0 with no lookups).
+  double qp_miss_pct() const {
+    return qp_lookups() > 0 ? 100.0 * static_cast<double>(qp_misses) /
+                                  static_cast<double>(qp_lookups())
+                            : 0.0;
+  }
+};
+HostPathTally TallyHostPath(const std::vector<RdmaNic*>& nics);
 
 }  // namespace workload
 }  // namespace dcqcn

@@ -15,44 +15,11 @@
 namespace dcqcn {
 namespace {
 
-struct GoldenRun {
-  SwitchCounters sw;
-  Bytes delivered[2];
-  Rate rate_bps[2];
-  int64_t cnps[2];
-  int64_t pkts_sent[2];
-  Bytes cwnd[2];
-  double dctcp_alpha[2];
-};
+// The scenario is cc::RunGoldenStar, shared with bench/regen_cc_goldens.
+using GoldenRun = cc::GoldenStarRun;
 
 GoldenRun RunScenario(uint64_t seed, int16_t policy = kDcqcnPolicyId) {
-  Network net(seed);
-  TopologyOptions opt;
-  cc::ApplyCcSwitchDefaults(policy, &opt.switch_config);
-  StarTopology topo = BuildStar(net, 3, opt);
-  for (int i = 0; i < 2; ++i) {
-    FlowSpec f;
-    f.flow_id = i;
-    f.src_host = topo.hosts[static_cast<size_t>(i)]->id();
-    f.dst_host = topo.hosts[2]->id();
-    f.size_bytes = 0;  // greedy
-    f.cc_policy = policy;
-    net.StartFlow(f);
-  }
-  net.RunFor(Milliseconds(2));
-
-  GoldenRun g;
-  g.sw = topo.sw->counters();
-  for (int i = 0; i < 2; ++i) {
-    g.delivered[i] = topo.hosts[2]->ReceiverDeliveredBytes(i);
-    const SenderQp* qp = topo.hosts[static_cast<size_t>(i)]->FindQp(i);
-    g.rate_bps[i] = qp->current_rate();
-    g.cnps[i] = qp->counters().cnps_received;
-    g.pkts_sent[i] = qp->counters().packets_sent;
-    g.cwnd[i] = qp->cwnd();
-    g.dctcp_alpha[i] = qp->dctcp_alpha();
-  }
-  return g;
+  return cc::RunGoldenStar(policy, seed);
 }
 
 TEST(GoldenTrace, TwoFlowDcqcnIncastAtSeed42) {

@@ -93,19 +93,22 @@ TEST(HostSpecGrammar, MakeAppliesProfileAndOverrides) {
 TEST(HostCli, RunnerParseCliAcceptsAndRejectsHostSpecs) {
   {
     const char* argv[] = {"bench", "--host=tiny-cache:qp_cache=4"};
-    const runner::CliOptions cli = runner::ParseCli(2, const_cast<char**>(argv));
+    const runner::CliOptions cli =
+        runner::ParseCli(2, const_cast<char**>(argv), runner::kCliAll);
     ASSERT_TRUE(cli.ok) << cli.error;
     EXPECT_EQ(cli.host, "tiny-cache:qp_cache=4");
   }
   {
     const char* argv[] = {"bench", "--host", "mega-cache"};
-    const runner::CliOptions cli = runner::ParseCli(3, const_cast<char**>(argv));
+    const runner::CliOptions cli =
+        runner::ParseCli(3, const_cast<char**>(argv), runner::kCliAll);
     EXPECT_FALSE(cli.ok);
     EXPECT_NE(cli.error.find("unknown --host profile"), std::string::npos);
   }
   {
     const char* argv[] = {"bench", "--host=default:qp_cache"};
-    const runner::CliOptions cli = runner::ParseCli(2, const_cast<char**>(argv));
+    const runner::CliOptions cli =
+        runner::ParseCli(2, const_cast<char**>(argv), runner::kCliAll);
     EXPECT_FALSE(cli.ok);
   }
 }

@@ -303,7 +303,7 @@ TEST(Cli, ParsesBothFlagForms) {
   const char* argv[] = {"bench",      "--jobs", "4",   "--seed=9",
                         "--json",     "/tmp/x.json",   "--csv=/tmp/x.csv"};
   const runner::CliOptions cli =
-      runner::ParseCli(7, const_cast<char**>(argv));
+      runner::ParseCli(7, const_cast<char**>(argv), runner::kCliAll);
   ASSERT_TRUE(cli.ok) << cli.error;
   EXPECT_EQ(cli.jobs, 4);
   EXPECT_EQ(cli.seed, 9u);
@@ -314,16 +314,56 @@ TEST(Cli, ParsesBothFlagForms) {
 TEST(Cli, RejectsBadInput) {
   {
     const char* argv[] = {"bench", "--jobs"};
-    EXPECT_FALSE(runner::ParseCli(2, const_cast<char**>(argv)).ok);
+    EXPECT_FALSE(
+        runner::ParseCli(2, const_cast<char**>(argv), runner::kCliAll).ok);
   }
   {
     const char* argv[] = {"bench", "--jobs", "0"};
-    EXPECT_FALSE(runner::ParseCli(3, const_cast<char**>(argv)).ok);
+    EXPECT_FALSE(
+        runner::ParseCli(3, const_cast<char**>(argv), runner::kCliAll).ok);
   }
   {
     const char* argv[] = {"bench", "--frobnicate"};
-    EXPECT_FALSE(runner::ParseCli(2, const_cast<char**>(argv)).ok);
+    EXPECT_FALSE(
+        runner::ParseCli(2, const_cast<char**>(argv), runner::kCliAll).ok);
   }
+}
+
+TEST(Cli, RejectsFlagsTheBenchDoesNotHonorByName) {
+  const unsigned honored = runner::kCliSweep | runner::kCliCc;
+  {
+    const char* argv[] = {"./bench/ext_stability", "--cc=dctcp", "--jobs",
+                          "2"};
+    const runner::CliOptions cli =
+        runner::ParseCli(4, const_cast<char**>(argv), honored);
+    ASSERT_TRUE(cli.ok) << cli.error;
+    EXPECT_EQ(cli.cc, "dctcp");
+    EXPECT_EQ(cli.jobs, 2);
+  }
+  // Known runner flags outside the set fail by name, whatever their form;
+  // the usage suffix lists only what the bench honors.
+  for (const char* flag : {"--shards=2", "--hybrid", "--hybrid:release=1",
+                           "--trace=t", "--workload=pairs", "--host=default"}) {
+    const char* argv[] = {"./bench/ext_stability", flag};
+    const runner::CliOptions cli =
+        runner::ParseCli(2, const_cast<char**>(argv), honored);
+    EXPECT_FALSE(cli.ok) << flag;
+    const std::string name = std::string(flag).substr(
+        0, std::string(flag).find_first_of("=:"));
+    EXPECT_NE(cli.error.find(name + " is not honored by ext_stability"),
+              std::string::npos)
+        << cli.error;
+    EXPECT_EQ(cli.error.find("--shards N"), std::string::npos) << cli.error;
+    EXPECT_NE(cli.error.find("--cc POLICY"), std::string::npos) << cli.error;
+  }
+  // An empty set honors nothing, not even --jobs.
+  const char* argv[] = {"tool", "--jobs", "2"};
+  const runner::CliOptions cli =
+      runner::ParseCli(3, const_cast<char**>(argv), 0);
+  EXPECT_FALSE(cli.ok);
+  EXPECT_NE(cli.error.find("--jobs is not honored by tool"),
+            std::string::npos)
+      << cli.error;
 }
 
 }  // namespace

@@ -63,5 +63,26 @@ TEST(ScaleMatrix, CasesCoverTheScaleTargets) {
   EXPECT_GE(xl.shape.num_hosts() * xl.flows_per_host, 1000);
 }
 
+// With a pattern, the trial's goodput is completed-transfer bytes over the
+// window: a structured workload that completes flows must read above zero
+// on every shape (the greedy mix's delivered-bytes readout sees no flows).
+TEST(ScaleMatrix, PatternModeGoodputCountsCompletedTransfers) {
+  std::vector<runner::TrialSpec> matrix;
+  for (const bench::ScaleCase& c : bench::ScaleCases(/*smoke=*/true)) {
+    bench::ScaleTrialOptions topt;
+    topt.workload = "pairs:pairs=8,incast=4";
+    ASSERT_TRUE(topt.retain_flow_records);
+    matrix.push_back(bench::ScaleTrial(c, topt));
+  }
+  runner::RunnerOptions opt;
+  opt.base_seed = 7;
+  for (const runner::TrialResult& r : runner::RunTrials(matrix, opt)) {
+    EXPECT_GT(r.counters.at("wl_completed"), 0) << r.name;
+    EXPECT_GT(r.metrics.at("agg_goodput_gbps"), 0.0) << r.name;
+    // The wl.* registry snapshot rides along with the wl_* counters.
+    EXPECT_FALSE(r.registry.counters.empty()) << r.name;
+  }
+}
+
 }  // namespace
 }  // namespace dcqcn

@@ -279,7 +279,8 @@ TEST(WorkloadSpecErrors, RunnerCliRejectsBadKeys) {
   std::vector<char*> argv;
   for (std::string& a : args) argv.push_back(a.data());
   const runner::CliOptions cli =
-      runner::ParseCli(static_cast<int>(argv.size()), argv.data());
+      runner::ParseCli(static_cast<int>(argv.size()), argv.data(),
+                       runner::kCliAll);
   EXPECT_FALSE(cli.ok);
   EXPECT_NE(cli.error.find("unknown key 'foo'"), std::string::npos)
       << cli.error;
